@@ -9,11 +9,12 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
 
 from . import fileio, generators, gknap, hardness, misr, oracles, svg
-from .geometry import Packing, normalize_instance, validate_misr_solution, validate_packing
+from .geometry import Packing, as_epsilon, normalize_instance, validate_misr_solution, validate_packing
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -28,6 +29,20 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # keep argparse from sys.exit(2)
         raise _UsageError(message)
+
+
+def _epsilon(text: str) -> Fraction:
+    """Parse --eps exactly: "0.7" is 7/10, not the nearest float.
+
+    Only a plain decimal or a fraction p/q is read: an exponent or a long
+    digit string would make the exact value arbitrarily large to compute.
+    """
+    if len(text) > 40 or "e" in text.lower():
+        raise argparse.ArgumentTypeError(f"epsilon must be a decimal or p/q, got {text!r}")
+    try:
+        return as_epsilon(Fraction(text))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _build_parser() -> _Parser:
@@ -48,7 +63,7 @@ def _build_parser() -> _Parser:
     s.add_argument("algorithm", choices=["misr-pas", "misr-exact", "2dkr-pas", "2dkr-exact"])
     s.add_argument("instance", type=Path)
     s.add_argument("--k", type=int, required=True)
-    s.add_argument("--eps", type=float, default=0.5)
+    s.add_argument("--eps", type=_epsilon, default=Fraction(1, 2))
     s.add_argument("--cap-c", type=int, default=None)
     s.add_argument("--cap-b", type=int, default=None)
     s.add_argument("--ktilde", type=int, default=None)
@@ -59,7 +74,7 @@ def _build_parser() -> _Parser:
     kn.add_argument("problem", choices=["misr", "2dkr"])
     kn.add_argument("instance", type=Path)
     kn.add_argument("--k", type=int, required=True)
-    kn.add_argument("--eps", type=float, default=0.5)
+    kn.add_argument("--eps", type=_epsilon, default=Fraction(1, 2))
     kn.add_argument("--cap-c", type=int, default=None)
     kn.add_argument("--cap-b", type=int, default=None)
     kn.add_argument("--ktilde", type=int, default=None)
@@ -141,7 +156,7 @@ def _budget(args, n: int) -> oracles.OracleBudget:
 
 def _cmd_solve(args) -> int:
     inst_file = fileio.load_instance(args.instance)
-    prov = {"algorithm": args.algorithm, "k": args.k, "eps": args.eps, "assertions": []}
+    prov = {"algorithm": args.algorithm, "k": args.k, "eps": str(args.eps), "assertions": []}
 
     if args.algorithm.startswith("misr"):
         if inst_file.kind != "misr":
@@ -235,6 +250,22 @@ def _cmd_reduce(args) -> int:
     return EXIT_OK
 
 
+def _report_bad_indices(sol: fileio.SolutionFile, inst_file: fileio.InstanceFile) -> bool:
+    """Print a violation for each index that names no object of the instance."""
+    n = inst_file.instance.n
+    if sol.selected is not None:
+        bad = [f"rectangle index {i} out of range" for i in sol.selected if not 0 <= i < n]
+    else:
+        bad = [
+            f"placement {pi} references item {pl.item}"
+            for pi, pl in enumerate(sol.packing.placements)
+            if not 0 <= pl.item < n
+        ]
+    for message in bad:
+        print(f"violation: {message}")
+    return bool(bad)
+
+
 def _cmd_verify(args) -> int:
     if args.what == "reduction":
         inst_file = fileio.load_instance(args.file)
@@ -271,6 +302,8 @@ def _cmd_verify(args) -> int:
     if args.what == "solution":
         if sol.kind != "misr-solution" or inst_file.kind != "misr":
             raise _UsageError("verify solution needs a misr pair")
+        if _report_bad_indices(sol, inst_file):
+            return EXIT_INVALID
         ok = validate_misr_solution(inst_file.instance, sol.selected or ())
         if not ok:
             print("solution contains overlapping rectangles")
@@ -294,6 +327,8 @@ def _cmd_render(args) -> int:
     packing = None
     if args.solution is not None:
         sol = fileio.load_solution(args.solution)
+        if _report_bad_indices(sol, inst_file):
+            return EXIT_INVALID
         selected = sol.selected
         packing = sol.packing
     grid = None

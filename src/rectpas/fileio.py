@@ -67,10 +67,13 @@ class InstanceFile:
             if kind == "misr":
                 inst = MisrInstance.from_coords(payload["rects"])
             elif kind == "gknap":
+                rotations = payload.get("rotations", True)
+                if not isinstance(rotations, bool):
+                    raise FileFormatError(f"rotations must be true or false, got {rotations!r}")
                 inst = GknapInstance(
                     int(payload["N"]),
                     tuple(Item(int(w), int(h)) for w, h in payload["items"]),
-                    bool(payload.get("rotations", True)),
+                    rotations,
                 )
             else:
                 raise FileFormatError(f"unknown instance type {kind!r}")

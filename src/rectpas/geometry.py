@@ -14,6 +14,18 @@ from typing import Iterable, Mapping, Optional, Sequence, Union
 Coord = Union[int, Fraction]
 
 
+def as_epsilon(epsilon: Union[Fraction, float]) -> Fraction:
+    """The accuracy parameter as an exact fraction in (0, 1].
+
+    A float is read as the closest fraction with denominator at most 10^9,
+    so 0.7 means 7/10 and not the binary value just below it.
+    """
+    eps = Fraction(epsilon).limit_denominator(10**9) if isinstance(epsilon, float) else Fraction(epsilon)
+    if not 0 < eps <= 1:
+        raise ValueError(f"epsilon must lie in (0, 1], got {epsilon}")
+    return eps
+
+
 @dataclass(frozen=True, slots=True)
 class Rect:
     """Open axis-parallel rectangle (x1, x2) x (y1, y2) with integer corners."""

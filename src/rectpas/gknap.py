@@ -27,6 +27,7 @@ from .geometry import (
     KernelReport,
     Packing,
     Placement,
+    as_epsilon,
     open_overlap,
     validate_packing,
 )
@@ -75,7 +76,7 @@ def _classify_for_band(instance: GknapInstance, k: int, B: int) -> Classificatio
 def classify_items(
     instance: GknapInstance,
     k: int,
-    epsilon: float,
+    epsilon: Fraction | float,
     reference: Optional[Packing] = None,
 ):
     """Classify items into large/thin/discarded height bands.
@@ -86,13 +87,12 @@ def classify_items(
     without one, the classification for every candidate B is returned so
     the caller can iterate.
     """
-    if not 0 < epsilon <= 1:
-        raise ValueError(f"epsilon must lie in (0, 1], got {epsilon}")
+    eps = as_epsilon(epsilon)
     if k < 2:
         raise ValueError(f"k must be at least 2, got {k}")
     if any(it.w < it.h for it in instance.items):
         raise ValueError("items must be canonical (w >= h); see canonicalize_items")
-    b_max = ceil(8 / epsilon)
+    b_max = ceil(8 / eps)
     classifications = [_classify_for_band(instance, k, B) for B in range(1, b_max + 1)]
     if reference is None:
         return tuple(classifications)
@@ -325,9 +325,9 @@ class FreeStripResult:
     report: FreeStripReport
 
 
-def default_k_floor(epsilon: float) -> int:
+def default_k_floor(epsilon: Fraction | float) -> int:
     """Smallest k the strip-freeing transformation accepts for this eps."""
-    return max(2, ceil(1 / epsilon**3))
+    return max(2, ceil(1 / as_epsilon(epsilon) ** 3))
 
 
 def _stack_band(
@@ -344,7 +344,7 @@ def _stack_band(
 def free_strip(
     instance: GknapInstance,
     packing: Packing,
-    epsilon: float,
+    epsilon: Fraction | float,
     k_floor: Optional[int] = None,
 ) -> FreeStripResult:
     """Rearrange a feasible k-item packing to clear the bottom strip.
@@ -708,11 +708,11 @@ def solve_restricted(
 # PAS driver and kernel
 
 
-def theory_k_tilde(k: int, epsilon: float) -> int:
+def theory_k_tilde(k: int, epsilon: Fraction | float) -> int:
     """Default second parameter: k to the power ceil(8/eps) + 1."""
     if k < 1:
         raise ValueError("k must be positive")
-    return max(2, k ** (ceil(8 / epsilon) + 1))
+    return max(2, k ** (ceil(8 / as_epsilon(epsilon)) + 1))
 
 
 @dataclass(frozen=True)
@@ -729,7 +729,7 @@ class Pas2dkrResult:
 def pas_2dkr(
     instance: GknapInstance,
     k: int,
-    epsilon: float,
+    epsilon: Fraction | float,
     k_tilde: Optional[int] = None,
     search_limit: int = 6,
     budget: OracleBudget = DEFAULT_BUDGET,
@@ -744,13 +744,12 @@ def pas_2dkr(
     """
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
-    if not 0 < epsilon <= 1:
-        raise ValueError(f"epsilon must lie in (0, 1], got {epsilon}")
-    kt = theory_k_tilde(k, epsilon) if k_tilde is None else k_tilde
-    k_prime = ceil((1 - epsilon) * k)
+    eps = as_epsilon(epsilon)
+    kt = theory_k_tilde(k, eps) if k_tilde is None else k_tilde
+    k_prime = ceil((1 - eps) * k)
     meta: dict[str, object] = {
         "k": k,
-        "epsilon": epsilon,
+        "epsilon": eps,
         "k_prime": k_prime,
         "k_tilde": kt,
         "assertion_sound_under": "theory k_tilde mapping",
@@ -769,14 +768,13 @@ def pas_2dkr(
 def kernel_2dkr(
     instance: GknapInstance,
     k: int,
-    epsilon: float,
+    epsilon: Fraction | float,
     k_tilde: Optional[int] = None,
 ) -> KernelReport:
     """Approximate kernel: the group-and-prune survivors for k' and k_tilde."""
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
-    if not 0 < epsilon <= 1:
-        raise ValueError(f"epsilon must lie in (0, 1], got {epsilon}")
-    kt = theory_k_tilde(k, epsilon) if k_tilde is None else k_tilde
-    k_prime = max(1, ceil((1 - epsilon) * k))
+    eps = as_epsilon(epsilon)
+    kt = theory_k_tilde(k, eps) if k_tilde is None else k_tilde
+    k_prime = max(1, ceil((1 - eps) * k))
     return prune_to_kernel(instance, k_prime, kt)

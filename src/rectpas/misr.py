@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import ceil
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .geometry import MisrInstance, KernelReport, Rect, rects_disjoint, validate_misr_solution
+from .geometry import MisrInstance, KernelReport, Rect, as_epsilon, rects_disjoint, validate_misr_solution
 from .planar import (
     Box,
     Division,
@@ -397,9 +397,7 @@ def structured_solution(
     by rectangles of two different groups, and each group has at most
     c1 * c2 rectangles.
     """
-    eps = Fraction(epsilon).limit_denominator(10**9) if isinstance(epsilon, float) else Fraction(epsilon)
-    if not 0 < eps <= 1:
-        raise ValueError(f"epsilon must lie in (0, 1], got {epsilon}")
+    eps = as_epsilon(epsilon)
     sol = sorted(set(solution))
     if not sol:
         return Grouping((), frozenset(), 0, 0)

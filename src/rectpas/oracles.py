@@ -10,6 +10,7 @@ speed and every answer carries a checkable certificate.
 from __future__ import annotations
 
 import time
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional, Sequence
@@ -19,7 +20,6 @@ from .geometry import (
     MisrInstance,
     Packing,
     Placement,
-    open_overlap,
     rects_disjoint,
     validate_misr_solution,
     validate_packing,
@@ -168,12 +168,24 @@ def packing_feasible_exact(
 ) -> Optional[tuple[Placement, ...]]:
     """Complete feasibility search for packing all given items into W x H.
 
-    Branches on the rotation assignment, then places items in index order at
-    canonical coordinates: subset sums of the other items' effective widths
-    and heights. Completeness follows from sliding any feasible packing
-    left and down until every item rests against the boundary or another
-    item. The first item is confined to the lower-left quadrant to break the
-    reflection symmetries.
+    Places items by decreasing area (ties by index), trying each
+    orientation, then canonical x, then canonical y: subset sums of the
+    other items' widths and heights. Completeness follows from sliding any
+    feasible packing left and down until every item rests against the
+    boundary or another item (normal patterns; Herz 1972, Christofides and
+    Whitlock 1977). The first item is confined to the lower-left quadrant
+    to break the reflection symmetries.
+
+    Overlap is tested once per x, not once per placement. For a placed
+    item spanning [y1, y2], the level's canonical y values that would meet
+    it are those in (y1 - h, y2): a contiguous run, held as a bitset over
+    the sorted y values. At a given x the free y values are the valid ones
+    minus the runs of the placed items whose x-extent meets (x, x + w), so
+    only placements that fit are visited, in ascending y. The work per x
+    grows with the number of placed items and of canonical y values, not
+    with the number of distinct coordinates on both axes at once. All
+    comparisons are exact, so this holds for a ``Fraction`` H as well.
+    Items whose total area exceeds W * H get ``None`` without a search.
 
     With ``verify`` a returned packing is re-validated and, for tiny inputs,
     a "none" answer is cross-checked against the full coordinate scan.
@@ -207,60 +219,48 @@ def _packing_search(items, W, H, rotations, clock):
     order = sorted(range(m), key=lambda i: (-items[i].w * items[i].h, i))
     per_item = [_orientations(items[i], rotations) for i in order]
     dim_pairs = [(items[i].w, items[i].h) for i in order]
-    area = [items[i].w * items[i].h for i in order]
-    suffix_area = [0] * (m + 1)
-    for t in range(m - 1, -1, -1):
-        suffix_area[t] = suffix_area[t + 1] + area[t]
-    h_limit = H if isinstance(H, int) else W
     xs_all = [
         _choice_sums([dim_pairs[j] for j in range(m) if j != t], W)
         for t in range(m)
     ]
     ys_all = [
-        _choice_sums([dim_pairs[j] for j in range(m) if j != t], h_limit)
+        _choice_sums([dim_pairs[j] for j in range(m) if j != t], H)
         for t in range(m)
     ]
-    placed: list[tuple[int, int, int, int]] = []
-    out: list[Placement] = []
+    out: list[tuple[int, int, int, bool, int, int]] = []
 
-    def rec(t: int, used_area: int) -> bool:
+    def rec(t: int) -> bool:
         clock.tick()
         if t == m:
             return True
-        if used_area + suffix_area[t] > W * H:
-            return False
+        xs, ys = xs_all[t], ys_all[t]
         for w, h, rot in per_item[t]:
-            if w > W or h > H:
-                continue
-            for x in xs_all[t]:
-                if x + w > W:
-                    break
-                if t == 0 and 2 * x > W - w:
-                    break
-                for y in ys_all[t]:
-                    if y + h > H:
-                        break
-                    if t == 0 and 2 * y > H - h:
-                        break
-                    ok = True
-                    for (px1, py1, px2, py2) in placed:
-                        if open_overlap(x, x + w, px1, px2) and open_overlap(
-                            y, y + h, py1, py2
-                        ):
-                            ok = False
-                            break
-                    if not ok:
-                        continue
-                    placed.append((x, y, x + w, y + h))
-                    out.append(Placement(order[t], x, y, rot))
-                    if rec(t + 1, used_area + area[t]):
+            x_cut = W - w if t else (W - w) // 2
+            y_cut = H - h if t else (H - h) // 2
+            valid = (1 << bisect_right(ys, y_cut)) - 1
+            # Bit i of a run is set when ys[i] < y2 and ys[i] + h > y1,
+            # that is when the item at y = ys[i] meets the placed one.
+            runs = [
+                (x1, x2, (1 << bisect_left(ys, y2)) - (1 << bisect_right(ys, y1 - h)))
+                for _, x1, y1, _, x2, y2 in out
+            ]
+            for x in xs[: bisect_right(xs, x_cut)]:
+                free = valid
+                for x1, x2, run in runs:
+                    if x < x2 and x1 < x + w:
+                        free &= ~run
+                while free:
+                    low = free & -free
+                    free ^= low
+                    y = ys[low.bit_length() - 1]
+                    out.append((order[t], x, y, rot, x + w, y + h))
+                    if rec(t + 1):
                         return True
-                    placed.pop()
                     out.pop()
         return False
 
-    if rec(0, 0):
-        return tuple(sorted(out, key=lambda p: p.item))
+    if rec(0):
+        return tuple(Placement(*p[:4]) for p in sorted(out))
     return None
 
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import isqrt
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
-from .geometry import Coord
+from .geometry import Coord, as_epsilon
 
 # Separator quality constant: a component cap of ceil(C_IMPL / eps'^2) keeps
 # the removed fraction below eps' on the calibration corpus of random planar
@@ -413,9 +413,7 @@ class Division:
 
 def component_cap_for(epsilon_prime: Fraction | float, c_impl: int = C_IMPL) -> int:
     """Map a removal budget eps' to the component size cap c' = C_impl/eps'^2."""
-    eps = Fraction(epsilon_prime).limit_denominator(10**9) if isinstance(epsilon_prime, float) else Fraction(epsilon_prime)
-    if not 0 < eps <= 1:
-        raise ValueError(f"epsilon' must lie in (0, 1], got {epsilon_prime}")
+    eps = as_epsilon(epsilon_prime)
     return max(1, -(-c_impl * eps.denominator**2 // eps.numerator**2))
 
 

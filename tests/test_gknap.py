@@ -433,6 +433,18 @@ def test_theory_k_tilde():
         theory_k_tilde(0, 0.5)
 
 
+def test_exact_epsilon_k_prime():
+    # (1 - 0.7) * 10 is 3.0000000000000004 in floats; k' must be exactly 3.
+    inst = GknapInstance(40, tuple(Item(5, 4) for _ in range(10)))
+    for eps in (Fraction(7, 10), 0.7):
+        res = pas_2dkr(inst, 10, eps, k_tilde=inst.N)
+        assert res.metadata["k_prime"] == 3
+        assert res.positive and res.packing.size == 3
+        assert kernel_2dkr(inst, 10, eps, k_tilde=inst.N).params["k_prime"] == 3
+    assert theory_k_tilde(2, Fraction(8, 9)) == 2**10  # ceil(8 / (8/9)) = 9
+    assert default_k_floor(Fraction(1, 2)) == 8
+
+
 def test_kernel_2dkr_duplicates():
     k = 4
     k_prime = ceil((1 - 0.5) * k)

@@ -239,6 +239,65 @@ def test_cli_reduce_verify_render(tmp_path):
     assert out.read_text().count('class="placed"') == 41
 
 
+def test_rotations_must_be_bool(tmp_path):
+    g = tmp_path / "g.json"
+    g.write_text(json.dumps({"type": "gknap", "N": 10, "items": [[3, 2]], "rotations": "no"}))
+    with pytest.raises(fileio.FileFormatError):
+        fileio.load_instance(g)
+    assert cli_dispatch(["solve", "2dkr-exact", str(g), "--k", "1"]) == 1
+    g.write_text(json.dumps({"type": "gknap", "N": 10, "items": [[3, 2]], "rotations": False}))
+    assert fileio.load_instance(g).instance.rotations is False
+
+
+def _tampered(tmp_path, argv, edit):
+    """Solve, then rewrite one field of the solution file."""
+    s = tmp_path / "s.json"
+    assert cli_dispatch(argv + ["--out", str(s)]) == 0
+    payload = json.loads(s.read_text())
+    edit(payload)
+    s.write_text(json.dumps(payload))
+    return s
+
+
+def test_cli_verify_out_of_range_selected(tmp_path, capsys):
+    i = tmp_path / "i.json"
+    assert cli_dispatch(["gen", "misr", "--n", "5", "--seed", "0", "--out", str(i)]) == 0
+    s = _tampered(tmp_path, ["solve", "misr-exact", str(i), "--k", "1"],
+                  lambda p: p.update(selected=[99]))
+    capsys.readouterr()
+    assert cli_dispatch(["verify", "solution", str(s), "--instance", str(i)]) == 3
+    assert "violation: rectangle index 99 out of range" in capsys.readouterr().out
+    assert cli_dispatch(["render", str(i), "--solution", str(s), "--out", str(tmp_path / "r.svg")]) == 3
+
+
+def test_cli_verify_out_of_range_packing_item(tmp_path, capsys):
+    g = tmp_path / "g.json"
+    fileio.save(fileio.InstanceFile("gknap", GknapInstance(10, (Item(3, 2), Item(4, 4)))), g)
+
+    def edit(payload):
+        payload["placements"][0][0] = 99
+
+    s = _tampered(tmp_path, ["solve", "2dkr-exact", str(g), "--k", "2"], edit)
+    capsys.readouterr()
+    assert cli_dispatch(["verify", "packing", str(s), "--instance", str(g)]) == 3
+    assert "references item 99" in capsys.readouterr().out
+    assert cli_dispatch(["render", str(g), "--solution", str(s), "--out", str(tmp_path / "r.svg")]) == 3
+    assert "references item 99" in capsys.readouterr().out
+
+
+def test_cli_eps_is_exact(tmp_path):
+    g = tmp_path / "g.json"
+    s = tmp_path / "s.json"
+    fileio.save(fileio.InstanceFile("gknap", GknapInstance(40, tuple(Item(5, 4) for _ in range(10)))), g)
+    argv = ["solve", "2dkr-pas", str(g), "--k", "10", "--ktilde", "40", "--out", str(s)]
+    assert cli_dispatch(argv + ["--eps", "0.7"]) == 0
+    sol = fileio.load_solution(s)
+    assert sol.provenance["knobs"]["k_prime"] == 3 and sol.packing.size == 3
+    assert sol.provenance["eps"] == "7/10"
+    for bad in ("0", "1.5", "-0.5", "nan", "half", "1/0", "1e-99999", "1e-999999999", "0." + "1" * 60):
+        assert cli_dispatch(argv + ["--eps", bad]) == 1, bad
+
+
 def test_cli_usage_errors(tmp_path):
     assert cli_dispatch(["solve", "misr-pas", "nope.json"]) == 1  # missing --k
     assert cli_dispatch(["solve", "misr-exact", str(tmp_path / "missing.json"), "--k", "1"]) == 1

@@ -1,8 +1,11 @@
 import random
+from fractions import Fraction
 
 import pytest
 
-from rectpas.geometry import Item, MisrInstance, Packing, validate_packing
+from rectpas import oracles
+from rectpas.generators import gen_gknap_packed
+from rectpas.geometry import Item, MisrInstance, Packing, Placement, validate_packing
 from rectpas.oracles import (
     BudgetExceededError,
     OracleBudget,
@@ -84,6 +87,85 @@ def test_packing_agrees_with_scan():
         mine = packing_feasible_exact(items, W, H, verify=True)
         ref = packing_feasible_scan(items, W, H)
         assert (mine is None) == (ref is None)
+
+
+@pytest.mark.parametrize("rotations", [False, True])
+def test_packing_differential_against_scan(rotations):
+    rng = random.Random(101 + rotations)
+    found = 0
+    for _ in range(250):
+        W, H = rng.randrange(1, 9), rng.randrange(1, 9)
+        items = [
+            Item(rng.randrange(1, W + 1), rng.randrange(1, H + 1))
+            for _ in range(rng.randrange(1, 5))
+        ]
+        mine = packing_feasible_exact(items, W, H, rotations)
+        ref = packing_feasible_scan(items, W, H, rotations)
+        assert (mine is None) == (ref is None), (items, W, H)
+        if mine is not None:
+            found += 1
+            assert sorted(pl.item for pl in mine) == list(range(len(items)))
+            assert rotations or not any(pl.rotated for pl in mine)
+            assert validate_packing(Packing(max(W, H), mine), items).ok
+            assert all(pl.box(items[pl.item])[2] <= W and pl.box(items[pl.item])[3] <= H for pl in mine)
+    assert 0 < found < 250
+
+
+# The search order (area, orientation, x, y; first item in the lower-left
+# quadrant) decides which packing comes back; these pin it.
+GOLDEN_PACKINGS = [
+    (
+        [Item(3, 2)] * 4, 5, 5, True,
+        [(0, 0, 0, False), (1, 2, 3, False), (2, 0, 2, True), (3, 3, 0, True)],
+    ),
+    (
+        [Item(9, 7), Item(12, 8), Item(10, 9), Item(7, 7)], 24, 24, True,
+        [(0, 0, 17, False), (1, 0, 0, False), (2, 0, 8, False), (3, 9, 17, False)],
+    ),
+    (
+        [Item(4, 3), Item(3, 2), Item(2, 2)], 6, 5, False,
+        [(0, 0, 0, False), (1, 0, 3, False), (2, 3, 3, False)],
+    ),
+    (
+        [Item(16, 6), Item(12, 9), Item(9, 8)], 20, Fraction(39, 2), True,
+        [(0, 0, 9, False), (1, 0, 0, False), (2, 12, 0, True)],
+    ),
+    ([Item(15, 7), Item(12, 9), Item(9, 8)], 20, Fraction(31, 2), True, None),
+    # H > W: the y coordinate 24 lies above W but below H.
+    (
+        [Item(5, 24), Item(19, 5)], 22, Fraction(88, 3), False,
+        [(0, 0, 0, False), (1, 0, 24, False)],
+    ),
+]
+
+
+@pytest.mark.parametrize("items,W,H,rotations,expected", GOLDEN_PACKINGS)
+def test_packing_golden_placements(items, W, H, rotations, expected):
+    got = packing_feasible_exact(items, W, H, rotations)
+    assert got == (None if expected is None else tuple(Placement(*p) for p in expected))
+
+
+def test_packing_area_above_board_skips_search(monkeypatch):
+    def no_search(*args):
+        raise AssertionError("searched although the area exceeds the board")
+
+    monkeypatch.setattr(oracles, "_packing_search", no_search)
+    assert packing_feasible_exact([Item(3, 3), Item(3, 2), Item(2, 2)], 4, 4) is None
+    assert packing_feasible_exact([Item(5, 4)] * 2, 8, Fraction(9, 2)) is None
+
+
+def test_packing_many_distinct_sides():
+    # Distinct sides on a wide board give hundreds to thousands of
+    # canonical coordinates per axis; the search must not build anything
+    # of size (coordinates on x) * (coordinates on y).
+    for seed in range(3):
+        inst, _ = gen_gknap_packed(k=8, seed=seed, N=5000)
+        items = inst.instance.items
+        got = packing_feasible_exact(items, 5000, 5000)
+        assert got is not None and validate_packing(Packing(5000, got), items).ok
+    # Area fits but no packing exists: the search runs to the end.
+    items = [Item(412, 368), Item(431, 496), Item(342, 348), Item(540, 467), Item(354, 423)]
+    assert packing_feasible_exact(items, 1000, 1000) is None
 
 
 def test_packing_certificates_validate():
