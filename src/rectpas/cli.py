@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
@@ -251,10 +252,12 @@ def _cmd_reduce(args) -> int:
 
 
 def _report_bad_indices(sol: fileio.SolutionFile, inst_file: fileio.InstanceFile) -> bool:
-    """Print a violation for each index that names no object of the instance."""
+    """Print a violation for each index that names no object of the instance,
+    and for each rectangle index a solution repeats."""
     n = inst_file.instance.n
     if sol.selected is not None:
         bad = [f"rectangle index {i} out of range" for i in sol.selected if not 0 <= i < n]
+        bad += [f"rectangle index {i} repeated" for i, m in Counter(sol.selected).items() if m > 1]
     else:
         bad = [
             f"placement {pi} references item {pl.item}"
@@ -327,6 +330,9 @@ def _cmd_render(args) -> int:
     packing = None
     if args.solution is not None:
         sol = fileio.load_solution(args.solution)
+        if sol.instance_hash != inst_file.hash:
+            print("instance hash mismatch")
+            return EXIT_INVALID
         if _report_bad_indices(sol, inst_file):
             return EXIT_INVALID
         selected = sol.selected
@@ -365,7 +371,11 @@ def cli_dispatch(argv: Sequence[str]) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except (fileio.FileFormatError, FileNotFoundError, ValueError, oracles.BudgetExceededError) as exc:
+    # The MISR set packing recurses once per candidate; a family larger than
+    # the recursion limit ends here too.
+    except (
+        fileio.FileFormatError, FileNotFoundError, ValueError, oracles.BudgetExceededError, RecursionError
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -16,6 +16,8 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
+from itertools import accumulate
 from math import ceil
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -185,14 +187,6 @@ def cells_spanned(grid: Grid, rect: Rect) -> tuple[tuple[int, int], ...]:
     c_lo, r_lo = max(c_lo, 0), max(r_lo, 0)
     c_hi, r_hi = min(c_hi, grid.n_cols - 1), min(r_hi, grid.n_rows - 1)
     return tuple((c, r) for c in range(c_lo, c_hi + 1) for r in range(r_lo, r_hi + 1))
-
-
-def rect_block(grid: Grid, rect: Rect) -> tuple[int, int, int, int]:
-    """The (col_lo, row_lo, col_hi, row_hi) block of cells the rect spans."""
-    cells = cells_spanned(grid, rect)
-    cols = [c for c, _ in cells]
-    rows = [r for _, r in cells]
-    return (min(cols), min(rows), max(cols), max(rows))
 
 
 def contained_corner_hull(grid: Grid, rect: Rect) -> Box:
@@ -478,67 +472,86 @@ def enumerate_cell_sets(grid: Grid, b: int) -> Iterable[CellSet]:
             yield CellSet(cells, combo)
 
 
-def rects_inside(
-    inst: MisrInstance, grid: Grid, cells: frozenset[tuple[int, int]]
-) -> tuple[int, ...]:
-    """Indices of rectangles lying entirely inside the cell union."""
-    out = []
-    for i, r in enumerate(inst.rects):
-        if set(cells_spanned(grid, r)) <= cells:
-            out.append(i)
-    return tuple(out)
+def cell_mask(grid: Grid, cells: Iterable[tuple[int, int]]) -> int:
+    """Cells as an int with bit ``col * n_rows + row`` set per cell.
 
-
-def _capped_mis(inst: MisrInstance, candidates: Sequence[int], cap: int) -> tuple[int, ...]:
-    """Largest independent subset of the candidates, early-cut at cap.
-
-    Complete enumeration in index order with include-first branching, so
-    among equally sized optima the lexicographically smallest wins.
+    Ascending bit indices list the cells in ascending (col, row) order.
     """
-    if cap <= 0 or not candidates:
-        return ()
-    order = sorted(candidates)
-    adj = {
-        i: {j for j in order if j != i and not rects_disjoint(inst.rects[i], inst.rects[j])}
-        for i in order
-    }
-    best: tuple[int, ...] = ()
+    return sum(1 << (col * grid.n_rows + row) for col, row in set(cells))
 
-    def rec(pos: int, chosen: list[int]) -> None:
-        nonlocal best
-        if len(best) >= cap:
-            return
-        if len(chosen) > len(best):
-            best = tuple(chosen)
-            if len(best) >= cap:
-                return
-        if pos == len(order) or len(chosen) + (len(order) - pos) <= len(best):
-            return
-        v = order[pos]
-        if not any(v in adj[c] for c in chosen):
-            chosen.append(v)
-            rec(pos + 1, chosen)
-            chosen.pop()
-        rec(pos + 1, chosen)
 
-    rec(0, [])
-    return best
+@lru_cache(maxsize=1)
+def _mask_index(inst: MisrInstance, grid: Grid) -> tuple[tuple[int, ...], ...]:
+    """The span/conflict index of the MISR core, built once per (inst, grid).
+
+    Per rectangle: its cell-span mask (see ``cell_mask``), and two masks over
+    rectangle indices, bit j set when rectangle j shares a cell with it
+    (``shares``) or overlaps it (``conflict``, which holds the rectangle
+    itself). Overlapping open rectangles meet inside some cell, so every
+    other conflict is also a share.
+    """
+    spans = [cell_mask(grid, cells_spanned(grid, r)) for r in inst.rects]
+    shares = [0] * inst.n
+    conflict = [1 << i for i in range(inst.n)]
+    for i in range(inst.n):
+        for j in range(i + 1, inst.n):
+            if spans[i] & spans[j]:
+                shares[i] |= 1 << j
+                shares[j] |= 1 << i
+                if not rects_disjoint(inst.rects[i], inst.rects[j]):
+                    conflict[i] |= 1 << j
+                    conflict[j] |= 1 << i
+    return tuple(spans), tuple(shares), tuple(conflict)
 
 
 def solve_cellset_subproblem(
-    inst: MisrInstance, grid: Grid, cells: CellSet | frozenset, cap: int
+    inst: MisrInstance, grid: Grid, cells: CellSet | frozenset | int, cap: int
 ) -> tuple[int, ...]:
-    """Best feasible subset of size <= cap among rectangles inside the cells."""
+    """Best feasible subset of size <= cap among rectangles inside the cells.
+
+    ``cells`` is a cell set or a cell mask as built by ``cell_mask``. A
+    rectangle lies inside iff its span mask in ``_mask_index`` has no bit
+    outside the cells. The search branches over the inside rectangles in
+    index order, include first, and keeps a mask of those the chosen ones
+    block, so among equally sized optima the lexicographically smallest
+    wins; it stops as soon as the best reaches cap. A branch is cut when
+    the chosen rectangles plus all unblocked remaining ones cannot exceed
+    the best so far. The best changes only on a strict gain, so the cut
+    never changes which maximum is found first.
+    """
     if cap < 0:
         raise ValueError("cap must be non-negative")
-    cell_set = cells.cells if isinstance(cells, CellSet) else frozenset(cells)
-    return _capped_mis(inst, rects_inside(inst, grid, cell_set), cap)
+    spans, _, conflict = _mask_index(inst, grid)
+    if not isinstance(cells, int):
+        cells = cell_mask(grid, cells.cells if isinstance(cells, CellSet) else cells)
+    inside = sum(1 << i for i, span in enumerate(spans) if not span & ~cells)
+    best: list[int] = []
+    chosen: list[int] = []
+
+    def rec(avail: int) -> bool:
+        nonlocal best
+        if len(chosen) > len(best):
+            best = chosen[:]
+            if len(best) >= cap:
+                return True
+        while avail and len(chosen) + avail.bit_count() > len(best):
+            low = avail & -avail
+            avail ^= low
+            v = low.bit_length() - 1
+            chosen.append(v)
+            if rec(avail & ~conflict[v]):
+                return True
+            chosen.pop()
+        return False
+
+    if cap > 0:
+        rec(inside)
+    return tuple(best)
 
 
 @dataclass(frozen=True)
 class _Candidate:
-    cells: frozenset[tuple[int, int]]
-    blocks: tuple[tuple[int, int, int, int], ...]
+    cells: int  # cell mask, see cell_mask
     solution: tuple[int, ...]
 
     @property
@@ -546,71 +559,54 @@ class _Candidate:
         return len(self.solution)
 
 
-def _candidate_family(
-    inst: MisrInstance, grid: Grid, c: int, b: int
-) -> list[_Candidate]:
+def _cell_list(mask: int) -> list[int]:
+    """Ascending bit indices of a cell mask: its cells in (col, row) order."""
+    return [i for i in range((mask & -mask).bit_length() - 1, mask.bit_length()) if mask >> i & 1]
+
+
+def _candidate_family(inst: MisrInstance, grid: Grid, c: int) -> list[_Candidate]:
     """Footprints of cell-connected independent subsets, solved under cap c.
 
     Every union of blocks worth value v contains an independent subset of v
     rectangles whose own footprint is a candidate here, so the set-packing
     optimum over this family equals the optimum over the full block-union
-    enumeration while staying desk sized. Subsets are grown through the
-    shares-a-cell relation; disconnected unions split into equivalent
-    separate candidates.
+    enumeration while staying desk sized. Subsets of up to c rectangles,
+    whatever the block budget, are grown through the shares-a-cell relation
+    of the span/conflict index (``_mask_index``); the footprint, frontier,
+    banned and blocked sets are masks. Disconnected unions split into
+    equivalent separate candidates. Each distinct footprint, in order of
+    discovery, is solved once through ``solve_cellset_subproblem``. The
+    family is sorted by (-value, ascending cell list, solution); a cell's
+    bit index orders cells as (col, row) does.
     """
-    limit = min(c, b, inst.n)
+    limit = min(c, inst.n)
     if limit <= 0:
         return []
-    spans = [frozenset(cells_spanned(grid, r)) for r in inst.rects]
-    n = inst.n
-    shares = [set() for _ in range(n)]
-    conflict = [set() for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if spans[i] & spans[j]:
-                shares[i].add(j)
-                shares[j].add(i)
-                if not rects_disjoint(inst.rects[i], inst.rects[j]):
-                    conflict[i].add(j)
-                    conflict[j].add(i)
+    spans, shares, conflict = _mask_index(inst, grid)
+    footprints: dict[int, None] = {}
 
-    footprints: set[frozenset[tuple[int, int]]] = set()
-    members: list[tuple[int, ...]] = []
-
-    def grow(root: int, chosen: list[int], frontier: set[int], banned: set[int]) -> None:
-        cells = frozenset().union(*(spans[i] for i in chosen))
-        if cells not in footprints:
-            footprints.add(cells)
-            members.append(tuple(chosen))
-        if len(chosen) >= limit:
+    def grow(above: int, size: int, cells: int, frontier: int, banned: int, blocked: int) -> None:
+        footprints.setdefault(cells)
+        if size >= limit:
             return
-        ext = sorted(v for v in frontier if v > root and v not in banned)
-        dead: set[int] = set()
-        for v in ext:
-            if any(v in conflict[c_] for c_ in chosen):
-                continue
-            chosen.append(v)
-            grow(root, chosen, (frontier | shares[v]) - set(chosen), banned | dead)
-            chosen.pop()
-            dead.add(v)
+        ext = frontier & above & ~banned & ~blocked  # blocked holds the chosen ones too
+        dead = 0
+        while ext:
+            low = ext & -ext
+            ext ^= low
+            v = low.bit_length() - 1
+            grow(above, size + 1, cells | spans[v], frontier | shares[v], banned | dead, blocked | conflict[v])
+            dead |= low
 
-    for root in range(n):
-        grow(root, [root], set(shares[root]), set())
+    for root in range(inst.n):
+        grow(-2 << root, 1, spans[root], shares[root], 0, conflict[root])
 
     out = []
-    for mem in members:
-        cells = frozenset().union(*(spans[i] for i in mem))
-        blocks = tuple(sorted({rect_block(grid, inst.rects[i]) for i in mem}))
+    for cells in footprints:
         sol = solve_cellset_subproblem(inst, grid, cells, c)
         if sol:
-            out.append(_Candidate(cells, blocks, sol))
-    # Merge identical footprints (same cells imply the same subproblem).
-    uniq: dict[frozenset, _Candidate] = {}
-    for cand in out:
-        uniq.setdefault(cand.cells, cand)
-    return sorted(
-        uniq.values(), key=lambda cd: (-cd.value, sorted(cd.cells), cd.solution)
-    )
+            out.append(_Candidate(cells, sol))
+    return sorted(out, key=lambda cd: (-cd.value, _cell_list(cd.cells), cd.solution))
 
 
 def _max_disjoint_collection(
@@ -618,45 +614,50 @@ def _max_disjoint_collection(
 ) -> tuple[int, tuple[int, ...]]:
     """Exact weighted set packing over cell-disjoint candidates.
 
-    Branch and bound over the value-sorted candidate list; at most k sets
-    may be chosen. Returns the best total and the union of the chosen
-    sub-solutions, breaking value ties towards the lexicographically
-    smallest rectangle index set.
+    Branch and bound over the candidate list, which must be sorted by
+    non-increasing value as ``_candidate_family`` returns it; at most k
+    sets may be chosen. Disjointness is one AND of a candidate's cell mask
+    (a union of ``_mask_index`` spans) with the cells used so far; the
+    bound on what the remaining picks can add is the sum of the next
+    k - picks values, read from prefix sums. Returns the best total and
+    the union of the chosen sub-solutions, breaking value ties towards the
+    lexicographically smallest rectangle index set. A (total, solution)
+    pair is compared only right after an include makes it: a skip child
+    carries its parent's pair, which was compared already, and the best
+    only improves, so it can never win there. The search takes one
+    recursive frame per candidate position.
     """
     values = [cd.value for cd in cands]
-    suffix_best: list[list[int]] = [[] for _ in range(len(cands) + 1)]
-    for i in range(len(cands) - 1, -1, -1):
-        merged = sorted(suffix_best[i + 1] + [values[i]], reverse=True)[:k]
-        suffix_best[i] = merged
-
+    if any(a < b for a, b in zip(values, values[1:])):
+        raise ValueError("candidates must be sorted by non-increasing value")
+    k = min(k, len(cands))  # more picks than candidates change nothing
+    prefix = list(accumulate(values, initial=0))
+    prefix += [prefix[-1]] * k  # the bound may look past the last candidate
+    masks = [cd.cells for cd in cands]
+    sols = [cd.solution for cd in cands]
+    last = len(cands)
     best_total = 0
     best_sol: tuple[int, ...] = ()
 
-    def rec(pos: int, picks: int, used: frozenset, total: int, sol: list[int]) -> None:
+    def rec(pos: int, picks: int, used: int, total: int, sol: tuple[int, ...]) -> None:
         nonlocal best_total, best_sol
-        cand_sol = tuple(sorted(sol))
-        if total > best_total or (total == best_total and cand_sol and cand_sol < best_sol):
-            best_total, best_sol = total, cand_sol
-        if pos >= len(cands) or picks >= k:
+        if pos >= last or picks >= k or total + prefix[pos + k - picks] - prefix[pos] < best_total:
             return
-        room = sum(suffix_best[pos][: k - picks])
-        if total + room < best_total:
-            return
-        cand = cands[pos]
-        if not (cand.cells & used):
-            rec(pos + 1, picks + 1, used | cand.cells, total + cand.value, sol + list(cand.solution))
+        if not masks[pos] & used:
+            inc_total, inc_sol = total + values[pos], sol + sols[pos]
+            ordered = tuple(sorted(inc_sol))
+            if inc_total > best_total or (inc_total == best_total and ordered < best_sol):
+                best_total, best_sol = inc_total, ordered
+            rec(pos + 1, picks + 1, used | masks[pos], inc_total, inc_sol)
         rec(pos + 1, picks, used, total, sol)
 
-    rec(0, 0, frozenset(), 0, [])
+    rec(0, 0, 0, 0, ())
     return best_total, best_sol
 
 
 def theory_knobs(epsilon: Fraction | float) -> tuple[int, int]:
-    """Default cap and block budget: c on the order of eps^-8, b = c."""
-    eps = float(epsilon)
-    if not 0 < eps <= 1:
-        raise ValueError(f"epsilon must lie in (0, 1], got {epsilon}")
-    c = max(1, ceil(1 / eps**8))
+    """Default cap and block budget: c = ceil(eps^-8), computed exactly, b = c."""
+    c = max(1, ceil(1 / as_epsilon(epsilon) ** 8))
     return c, c
 
 
@@ -692,10 +693,8 @@ def pas_misr(
     when the candidate family captures a full structured solution, e.g.
     under the theory knob mapping at desk scale.
     """
-    eps = float(epsilon)
-    if not 0 < eps <= 1:
-        raise ValueError(f"epsilon must lie in (0, 1], got {epsilon}")
-    tc, tb = theory_knobs(epsilon)
+    eps = as_epsilon(epsilon)
+    tc, tb = theory_knobs(eps)
     cap_c = tc if c is None else c
     cap_b = tb if b is None else b
     threshold = max(ceil((1 - eps) * k), 0)
@@ -713,7 +712,7 @@ def pas_misr(
         meta["branch"] = "grid-witness"
         return PasMisrResult(outcome.witness, False, k, meta)
     grid = outcome.grid
-    cands = _candidate_family(inst, grid, cap_c, cap_b)
+    cands = _candidate_family(inst, grid, cap_c)
     best_total, best_sol = _max_disjoint_collection(cands, k)
     meta["branch"] = "set-packing"
     meta["candidates"] = len(cands)
@@ -747,7 +746,7 @@ def kernel_misr(
             tuple(sorted(outcome.witness)),
             {"c": cap_c, "b": cap_b, "k": k, "grid_shortcut": True},
         )
-    cands = _candidate_family(inst, outcome.grid, cap_c, cap_b)
+    cands = _candidate_family(inst, outcome.grid, cap_c)
     kernel: set[int] = set()
     for cand in cands:
         kernel.update(cand.solution)

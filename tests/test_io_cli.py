@@ -211,6 +211,16 @@ def test_cli_verify_hash_mismatch(tmp_path):
     assert cli_dispatch(["verify", "solution", str(s), "--instance", str(i2)]) == 3
 
 
+def test_cli_render_hash_mismatch(tmp_path, capsys):
+    i1, i2, s = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "s.json"
+    assert cli_dispatch(["gen", "misr", "--n", "5", "--seed", "0", "--out", str(i1)]) == 0
+    assert cli_dispatch(["gen", "misr", "--n", "5", "--seed", "1", "--out", str(i2)]) == 0
+    assert cli_dispatch(["solve", "misr-exact", str(i1), "--k", "1", "--out", str(s)]) == 0
+    capsys.readouterr()
+    assert cli_dispatch(["render", str(i2), "--solution", str(s), "--out", str(tmp_path / "r.svg")]) == 3
+    assert "instance hash mismatch" in capsys.readouterr().out
+
+
 def test_cli_kernel_commands(tmp_path):
     i = tmp_path / "i.json"
     k = tmp_path / "k.json"
@@ -268,6 +278,26 @@ def test_cli_verify_out_of_range_selected(tmp_path, capsys):
     assert cli_dispatch(["verify", "solution", str(s), "--instance", str(i)]) == 3
     assert "violation: rectangle index 99 out of range" in capsys.readouterr().out
     assert cli_dispatch(["render", str(i), "--solution", str(s), "--out", str(tmp_path / "r.svg")]) == 3
+
+
+def test_cli_verify_repeated_selected(tmp_path, capsys):
+    i = tmp_path / "i.json"
+    assert cli_dispatch(["gen", "misr", "--n", "5", "--seed", "0", "--out", str(i)]) == 0
+    s = _tampered(tmp_path, ["solve", "misr-exact", str(i), "--k", "1"],
+                  lambda p: p.update(selected=[0, 0, 0, 0]))
+    capsys.readouterr()
+    assert cli_dispatch(["verify", "solution", str(s), "--instance", str(i)]) == 3
+    assert "violation: rectangle index 0 repeated" in capsys.readouterr().out
+
+
+def test_cli_set_packing_recursion_limit_is_an_error(tmp_path, capsys):
+    """1351 candidates overflow the one-frame-per-candidate set packing."""
+    i = fileio.save(gen_misr(n=22, seed=7, span=16, max_side=9), tmp_path / "i.json")
+    capsys.readouterr()
+    argv = ["solve", "misr-pas", str(i), "--k", "9", "--eps", "1/2", "--cap-c", "7"]
+    assert cli_dispatch(argv + ["--out", str(tmp_path / "s.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_cli_verify_out_of_range_packing_item(tmp_path, capsys):

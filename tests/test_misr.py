@@ -1,9 +1,13 @@
 import random
+from fractions import Fraction
 from itertools import combinations
 from math import ceil
+from pathlib import Path
 
 import pytest
 
+from rectpas import misr
+from rectpas.generators import gen_misr
 from rectpas.geometry import MisrInstance, normalize_instance, rects_disjoint, validate_misr_solution
 from rectpas.misr import (
     CellSet,
@@ -340,8 +344,98 @@ def test_pas_theory_knobs_sound(misr_corpus6):
 def test_theory_knob_mapping():
     c, b = theory_knobs(0.5)
     assert c == b == 256
+    assert theory_knobs(Fraction(1, 2)) == (256, 256)
+    assert theory_knobs(0.7) == (18, 18)  # ceil((10/7)^8), read as 7/10
     with pytest.raises(ValueError):
         theory_knobs(0)
+
+
+def test_pas_epsilon_is_exact():
+    res = pas_misr(DIAGONAL3, 10, 0.7, c=1, b=1)
+    assert res.metadata["epsilon"] == Fraction(7, 10)
+    assert res.metadata["threshold"] == 3  # ceil(3/10 * 10); a float eps gives 4
+    assert "float(" not in Path(misr.__file__).read_text()
+
+
+def _cellset_referee(inst, grid, k, c, b):
+    """Is there a packing of at most k cell-disjoint block unions worth >= k?
+
+    The paper's family: every union of at most b blocks, scored by the
+    capped subproblem solver. A union is dropped when a smaller kept union
+    inside it is worth as much, since a packing can use that one instead;
+    the rest are searched with an explicit stack.
+    """
+    sets = []
+    for cs in enumerate_cell_sets(grid, b):
+        value = len(solve_cellset_subproblem(inst, grid, cs, c))
+        if value:
+            mask = sum(1 << (col * grid.n_rows + row) for col, row in cs.cells)
+            sets.append((len(cs.cells), mask, value))
+    kept = []
+    for _, mask, value in sorted(sets):
+        if not any(v >= value and m & ~mask == 0 for m, v in kept):
+            kept.append((mask, value))
+    stack = [(0, 0, 0, 0)]  # next union, cells used, total, picks
+    while stack:
+        start, used, total, picks = stack.pop()
+        if total >= k:
+            return True
+        if picks < k:
+            stack.extend(
+                (j + 1, used | m, total + v, picks + 1)
+                for j, (m, v) in enumerate(kept[start:], start)
+                if not m & used
+            )
+    return False
+
+
+def test_pas_decision_matches_block_union_family():
+    """The grown family decides as the paper's family does, b < c included."""
+    inst = normalize_instance(gen_misr(n=9, seed=8, span=10, max_side=7).instance)
+    assert pas_misr(inst, 4, Fraction(1, 2), c=2, b=1).positive  # OPT is 6
+    mismatches = []
+    for n in range(6, 14):
+        for seed in range(6):
+            inst = normalize_instance(gen_misr(n=n, seed=seed, span=10, max_side=7).instance)
+            for k in (3, 4):
+                out = build_grid(inst, k)
+                if not out.is_grid:
+                    continue
+                for c, b in ((2, 1), (3, 2), (2, 2), (3, 3)):
+                    if (c, b) == (3, 3) and n > 9:
+                        continue  # the referee alone takes about a minute at n = 10
+                    got = pas_misr(inst, k, Fraction(1, 2), c=c, b=b).best_total >= k
+                    if got != _cellset_referee(inst, out.grid, k, c, b):
+                        mismatches.append((n, seed, k, c, b))
+    assert not mismatches
+
+
+# Bench-shaped instances (gen_misr(n=22, span=16, max_side=9)) with their
+# optimum, the cap set-up computes from structured_solution, and per k the
+# selected set (None on an assertion), best total and candidate count, then
+# the kernel at k = OPT. Any change of traversal order shows here.
+MISR_GOLDEN = [
+    (2, 9, 5, {9: ((0, 1, 2, 4, 6, 9, 10, 14, 15), 9, 389), 10: (None, 9, 389)},
+     (0, 1, 2, 3, 4, 6, 7, 9, 10, 12, 13, 14, 15)),
+    (3, 7, 7, {7: ((2, 5, 12, 13, 14, 19, 20), 7, 393), 8: (None, 7, 393)},
+     (0, 1, 2, 3, 5, 7, 8, 9, 12, 13, 14, 18, 19, 20, 21)),
+    (9, 10, 9, {10: ((1, 2, 3, 7, 8, 11, 12, 13, 17, 21), 10, 376), 11: (None, 10, 376)},
+     (0, 1, 2, 3, 5, 7, 8, 11, 12, 13, 16, 17, 21)),
+]
+
+
+@pytest.mark.parametrize(
+    "seed,opt,cap,pas,kernel", MISR_GOLDEN, ids=[f"seed{row[0]}" for row in MISR_GOLDEN]
+)
+def test_misr_core_golden(seed, opt, cap, pas, kernel):
+    inst = normalize_instance(gen_misr(n=22, seed=seed, span=16, max_side=9).instance)
+    best = mis_rectangles_exact(inst, MISR_BUDGET)
+    grid = build_grid(inst, len(best)).grid
+    assert (len(best), structured_solution(best, grid, inst, Fraction(1, 2)).max_group) == (opt, cap)
+    for k, expected in pas.items():
+        res = pas_misr(inst, k, Fraction(1, 2), c=cap)
+        assert (res.selected, res.best_total, res.metadata["candidates"]) == expected
+    assert kernel_misr(inst, opt, Fraction(1, 2), c=cap).indices == kernel
 
 
 def test_kernel_grid_shortcut():
