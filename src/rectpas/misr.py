@@ -16,7 +16,6 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from itertools import accumulate
 from math import ceil
 from typing import Iterable, Mapping, Optional, Sequence
@@ -480,7 +479,11 @@ def cell_mask(grid: Grid, cells: Iterable[tuple[int, int]]) -> int:
     return sum(1 << (col * grid.n_rows + row) for col, row in set(cells))
 
 
-@lru_cache(maxsize=1)
+# The last (inst, grid, index) built by ``_mask_index``. Holding the two
+# objects keeps them alive, so an identity test cannot hit on a reused id.
+_last_index: tuple[object, object, tuple[tuple[int, ...], ...]] = (None, None, ())
+
+
 def _mask_index(inst: MisrInstance, grid: Grid) -> tuple[tuple[int, ...], ...]:
     """The span/conflict index of the MISR core, built once per (inst, grid).
 
@@ -488,8 +491,14 @@ def _mask_index(inst: MisrInstance, grid: Grid) -> tuple[tuple[int, ...], ...]:
     rectangle indices, bit j set when rectangle j shares a cell with it
     (``shares``) or overlaps it (``conflict``, which holds the rectangle
     itself). Overlapping open rectangles meet inside some cell, so every
-    other conflict is also a share.
+    other conflict is also a share. A one-slot cache hits when both
+    arguments are the very objects of the last call: comparing them by
+    value would hash every rectangle on each capped-MIS call.
     """
+    global _last_index
+    last_inst, last_grid, index = _last_index
+    if inst is last_inst and grid is last_grid:
+        return index
     spans = [cell_mask(grid, cells_spanned(grid, r)) for r in inst.rects]
     shares = [0] * inst.n
     conflict = [1 << i for i in range(inst.n)]
@@ -501,7 +510,8 @@ def _mask_index(inst: MisrInstance, grid: Grid) -> tuple[tuple[int, ...], ...]:
                 if not rects_disjoint(inst.rects[i], inst.rects[j]):
                     conflict[i] |= 1 << j
                     conflict[j] |= 1 << i
-    return tuple(spans), tuple(shares), tuple(conflict)
+    _last_index = (inst, grid, (tuple(spans), tuple(shares), tuple(conflict)))
+    return _last_index[2]
 
 
 def solve_cellset_subproblem(
@@ -611,21 +621,27 @@ def _candidate_family(inst: MisrInstance, grid: Grid, c: int) -> list[_Candidate
 
 def _max_disjoint_collection(
     cands: Sequence[_Candidate], k: int
-) -> tuple[int, tuple[int, ...]]:
+) -> tuple[int, tuple[int, ...], int]:
     """Exact weighted set packing over cell-disjoint candidates.
 
     Branch and bound over the candidate list, which must be sorted by
     non-increasing value as ``_candidate_family`` returns it; at most k
-    sets may be chosen. Disjointness is one AND of a candidate's cell mask
-    (a union of ``_mask_index`` spans) with the cells used so far; the
+    sets may be chosen. The candidates still disjoint from the chosen ones
+    are one int over positions (bit p for candidate p), and the search
+    visits only its lowest bit. An include clears the positions whose cells
+    meet the candidate's: the OR of per-cell masks over positions, built on
+    the position's first include. A skip clears the position itself. The
     bound on what the remaining picks can add is the sum of the next
-    k - picks values, read from prefix sums. Returns the best total and
-    the union of the chosen sub-solutions, breaking value ties towards the
-    lexicographically smallest rectangle index set. A (total, solution)
-    pair is compared only right after an include makes it: a skip child
-    carries its parent's pair, which was compared already, and the best
-    only improves, so it can never win there. The search takes one
-    recursive frame per candidate position.
+    k - picks values, read from prefix sums; that window sum never grows
+    with the position, so a blocked position jumped over would prune no
+    branch that the next free one keeps. Returns the best total, the union
+    of the chosen sub-solutions, breaking value ties towards the
+    lexicographically smallest rectangle index set, and the number of
+    search frames. A (total, solution) pair is compared only right after an
+    include makes it: a skip child carries its parent's pair, which was
+    compared already, and the best only improves, so it can never win
+    there. The search takes one recursive frame per free candidate on the
+    skip chain.
     """
     values = [cd.value for cd in cands]
     if any(a < b for a, b in zip(values, values[1:])):
@@ -635,24 +651,36 @@ def _max_disjoint_collection(
     prefix += [prefix[-1]] * k  # the bound may look past the last candidate
     masks = [cd.cells for cd in cands]
     sols = [cd.solution for cd in cands]
-    last = len(cands)
+    on_cell: dict[int, int] = {}  # cell -> positions of the candidates covering it
+    for pos, mask in enumerate(masks):
+        for cell in _cell_list(mask):
+            on_cell[cell] = on_cell.get(cell, 0) | 1 << pos
+    hits = [0] * len(cands)  # position -> positions meeting its cells; 0 until built
     best_total = 0
     best_sol: tuple[int, ...] = ()
+    nodes = 0
 
-    def rec(pos: int, picks: int, used: int, total: int, sol: tuple[int, ...]) -> None:
-        nonlocal best_total, best_sol
-        if pos >= last or picks >= k or total + prefix[pos + k - picks] - prefix[pos] < best_total:
+    def rec(free: int, picks: int, total: int, sol: tuple[int, ...]) -> None:
+        nonlocal best_total, best_sol, nodes
+        nodes += 1
+        if not free or picks >= k:
             return
-        if not masks[pos] & used:
-            inc_total, inc_sol = total + values[pos], sol + sols[pos]
-            ordered = tuple(sorted(inc_sol))
-            if inc_total > best_total or (inc_total == best_total and ordered < best_sol):
-                best_total, best_sol = inc_total, ordered
-            rec(pos + 1, picks + 1, used | masks[pos], inc_total, inc_sol)
-        rec(pos + 1, picks, used, total, sol)
+        low = free & -free
+        pos = low.bit_length() - 1
+        if total + prefix[pos + k - picks] - prefix[pos] < best_total:
+            return
+        inc_total, inc_sol = total + values[pos], sol + sols[pos]
+        ordered = tuple(sorted(inc_sol))
+        if inc_total > best_total or (inc_total == best_total and ordered < best_sol):
+            best_total, best_sol = inc_total, ordered
+        if not hits[pos]:
+            for cell in _cell_list(masks[pos]):
+                hits[pos] |= on_cell[cell]
+        rec(free & ~hits[pos], picks + 1, inc_total, inc_sol)
+        rec(free ^ low, picks, total, sol)
 
-    rec(0, 0, 0, 0, ())
-    return best_total, best_sol
+    rec((1 << len(cands)) - 1, 0, 0, ())
+    return best_total, best_sol, nodes
 
 
 def theory_knobs(epsilon: Fraction | float) -> tuple[int, int]:
@@ -713,9 +741,10 @@ def pas_misr(
         return PasMisrResult(outcome.witness, False, k, meta)
     grid = outcome.grid
     cands = _candidate_family(inst, grid, cap_c)
-    best_total, best_sol = _max_disjoint_collection(cands, k)
+    best_total, best_sol, nodes = _max_disjoint_collection(cands, k)
     meta["branch"] = "set-packing"
     meta["candidates"] = len(cands)
+    meta["set_packing_nodes"] = nodes
     if best_total >= k:
         assert validate_misr_solution(inst, best_sol)
         return PasMisrResult(best_sol, False, best_total, meta)

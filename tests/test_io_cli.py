@@ -291,7 +291,7 @@ def test_cli_verify_repeated_selected(tmp_path, capsys):
 
 
 def test_cli_set_packing_recursion_limit_is_an_error(tmp_path, capsys):
-    """1351 candidates overflow the one-frame-per-candidate set packing."""
+    """1351 candidates overflow the set packing: one frame per free candidate on the skip chain."""
     i = fileio.save(gen_misr(n=22, seed=7, span=16, max_side=9), tmp_path / "i.json")
     capsys.readouterr()
     argv = ["solve", "misr-pas", str(i), "--k", "9", "--eps", "1/2", "--cap-c", "7"]

@@ -314,6 +314,18 @@ def test_subproblem_disjoint_and_conflicting():
         assert len(sol) == 1
 
 
+def test_mask_index_cache_hits_on_the_same_objects_only():
+    grid = build_grid(DIAGONAL3, 4).grid
+    index = misr._mask_index(DIAGONAL3, grid)
+    assert misr._mask_index(DIAGONAL3, grid) is index
+    stack_grid = build_grid(STACK2, 3).grid
+    assert misr._mask_index(STACK2, stack_grid)[0] == tuple(
+        misr.cell_mask(stack_grid, cells_spanned(stack_grid, r)) for r in STACK2.rects
+    )
+    again = misr._mask_index(DIAGONAL3, build_grid(DIAGONAL3, 4).grid)
+    assert again == index and again is not index
+
+
 # ---------------------------------------------------------------------------
 # PAS and kernel
 
@@ -436,6 +448,54 @@ def test_misr_core_golden(seed, opt, cap, pas, kernel):
         res = pas_misr(inst, k, Fraction(1, 2), c=cap)
         assert (res.selected, res.best_total, res.metadata["candidates"]) == expected
     assert kernel_misr(inst, opt, Fraction(1, 2), c=cap).indices == kernel
+
+
+def _set_packing_referee(cands, k):
+    """Best total over every pairwise cell-disjoint choice of at most k
+    candidates, then the lexicographically smallest sorted union."""
+    best = (0, ())
+    for size in range(1, min(k, len(cands)) + 1):
+        for combo in combinations(cands, size):
+            used = 0
+            for cd in combo:
+                if cd.cells & used:
+                    break
+                used |= cd.cells
+            else:
+                total = sum(cd.value for cd in combo)
+                union = tuple(sorted(i for cd in combo for i in cd.solution))
+                if total > best[0] or (total == best[0] and union < best[1]):
+                    best = (total, union)
+    return best
+
+
+def test_set_packing_matches_bruteforce():
+    """Random candidate lists with many value ties: the search returns the
+    referee's total and, among equal totals, the smallest sorted union."""
+    rng = random.Random(0)
+    for _ in range(300):
+        n_cells = rng.randrange(3, 10)
+        cands = []
+        for _ in range(rng.randrange(13)):
+            cells = rng.randrange(1, 1 << n_cells)
+            # three rectangles per cell, so cell-disjoint candidates have
+            # disjoint solutions, as capped subproblem solutions do
+            inside = [3 * cell + j for cell in range(n_cells) if cells >> cell & 1 for j in range(3)]
+            sol = tuple(sorted(rng.sample(inside, rng.randrange(1, 4))))
+            cands.append(misr._Candidate(cells, sol))
+        cands.sort(key=lambda cd: -cd.value)  # ties keep their random order
+        k = rng.randrange(1, 6)
+        total, sol, _ = misr._max_disjoint_collection(cands, k)
+        assert (total, sol) == _set_packing_referee(cands, k), (cands, k)
+
+
+def test_set_packing_node_count():
+    """The set-packing frame count is deterministic: one bench instance,
+    where a frame per blocked candidate as well would make 419751."""
+    inst = normalize_instance(gen_misr(n=22, seed=5, span=16, max_side=9).instance)
+    res = pas_misr(inst, 9, Fraction(1, 2), c=9)  # 9 = OPT = the realized cap
+    assert (res.best_total, res.metadata["candidates"]) == (9, 888)
+    assert res.metadata["set_packing_nodes"] == 5359
 
 
 def test_kernel_grid_shortcut():
