@@ -7,6 +7,7 @@ below k, 3 a verification failed, 1 usage or IO errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from collections import Counter
@@ -46,7 +47,11 @@ def _epsilon(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    # Built once per process: argparse fills a fresh namespace on every
+    # parse, and building the parser takes about 1 ms, a quarter of a
+    # typical 2dkr-pas call.
     p = _Parser(prog="rectpas", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 

@@ -151,13 +151,6 @@ def _orientations(it: Item, rotations: bool) -> tuple[tuple[int, int, bool], ...
     return tuple(outs)
 
 
-def _subset_sums(values: Sequence[int], limit) -> list[int]:
-    sums = {0}
-    for v in values:
-        sums |= {s + v for s in sums if s + v <= limit}
-    return sorted(sums)
-
-
 def packing_feasible_exact(
     items: Sequence[Item],
     W: int,
@@ -169,9 +162,9 @@ def packing_feasible_exact(
     """Complete feasibility search for packing all given items into W x H.
 
     Places items by decreasing area (ties by index), trying each
-    orientation, then canonical x, then canonical y: subset sums of the
-    other items' widths and heights. Completeness follows from sliding any
-    feasible packing left and down until every item rests against the
+    orientation, then canonical x, then canonical y: sums over a subset of
+    the other items of one side of each. Completeness follows from sliding
+    any feasible packing left and down until every item rests against the
     boundary or another item (normal patterns; Herz 1972, Christofides and
     Whitlock 1977). The first item is confined to the lower-left quadrant
     to break the reflection symmetries.
@@ -186,6 +179,18 @@ def packing_feasible_exact(
     with the number of distinct coordinates on both axes at once. All
     comparisons are exact, so this holds for a ``Fraction`` H as well.
     Items whose total area exceeds W * H get ``None`` without a search.
+
+    Before the 2D search, the items are projected onto x (the first step
+    of Clautiaux, Carlier and Moukrim 2007): each item, in the same order,
+    gets an orientation and an x from the same canonical values under the
+    same cuts, and at every x the heights of the items covering it must
+    sum to at most H. If no such assignment exists, the answer is ``None``
+    and the y coordinates are never built. This is sound: the packing the
+    2D search would find has disjoint items, so those covering any x stack
+    in [0, H), and its x-projection is an assignment the check accepts.
+    Probes that pass run the 2D search unchanged, so the placements
+    returned are those of the search alone. The projection ticks the same
+    clock, so it shares the probe's time budget.
 
     With ``verify`` a returned packing is re-validated and, for tiny inputs,
     a "none" answer is cross-checked against the full coordinate scan.
@@ -208,8 +213,7 @@ def _choice_sums(pairs: Sequence[tuple[int, int]], limit: int) -> list[int]:
     """Sums realizable by picking one of each pair's values per subset."""
     sums = {0}
     for a, b in pairs:
-        sums |= {s + a for s in sums if s + a <= limit}
-        sums |= {s + b for s in sums if s + b <= limit}
+        sums |= {s + v for s in sums for v in (a, b) if s + v <= limit}
     return sorted(sums)
 
 
@@ -223,6 +227,8 @@ def _packing_search(items, W, H, rotations, clock):
         _choice_sums([dim_pairs[j] for j in range(m) if j != t], W)
         for t in range(m)
     ]
+    if not _x_projection_fits(per_item, xs_all, W, H, clock):
+        return None
     ys_all = [
         _choice_sums([dim_pairs[j] for j in range(m) if j != t], H)
         for t in range(m)
@@ -262,6 +268,51 @@ def _packing_search(items, W, H, rotations, clock):
     if rec(0):
         return tuple(Placement(*p[:4]) for p in sorted(out))
     return None
+
+
+def _x_projection_fits(per_item, xs_all, W, H, clock) -> bool:
+    """Whether the x-projection admits the search's choices of x.
+
+    Gives item t, in search order, an orientation and an x from
+    ``xs_all[t]`` under the search's cut, such that at every x the heights
+    of the intervals [x, x + w) covering it sum to at most H. The placed
+    intervals cut the axis into steps of constant load; a step whose load
+    leaves less than h forbids the x values in (a - w, b), a contiguous
+    run of the sorted xs, so the free x values are one bitset as in the 2D
+    search.
+    """
+    m = len(per_item)
+    placed: list[tuple[int, int, int]] = []
+
+    def rec(t: int) -> bool:
+        clock.tick()
+        if t == m:
+            return True
+        xs = xs_all[t]
+        cuts = sorted({p for x1, x2, _ in placed for p in (x1, x2)})
+        steps = [
+            (a, b, sum(h for x1, x2, h in placed if x1 <= a < x2))
+            for a, b in zip(cuts, cuts[1:])
+        ]
+        for w, h, _ in per_item[t]:
+            if h > H:
+                continue
+            x_cut = W - w if t else (W - w) // 2
+            free = (1 << bisect_right(xs, x_cut)) - 1
+            for a, b, load in steps:
+                if load + h > H:
+                    free &= ~((1 << bisect_left(xs, b)) - (1 << bisect_right(xs, a - w)))
+            while free:
+                low = free & -free
+                free ^= low
+                x = xs[low.bit_length() - 1]
+                placed.append((x, x + w, h))
+                if rec(t + 1):
+                    return True
+                placed.pop()
+        return False
+
+    return rec(0)
 
 
 def packing_feasible_scan(

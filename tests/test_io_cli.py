@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from rectpas import fileio
+from rectpas import cli, fileio
 from rectpas.cli import cli_dispatch
 from rectpas.generators import (
     gen_figure_counterexample,
@@ -385,3 +385,19 @@ def test_cli_verify_accepts_every_solver_output(tmp_path):
     ]) == 0
     assert cli_dispatch(["verify", "reduction", str(r)]) == 0
     assert cli_dispatch(["verify", "packing", str(rp), "--instance", str(r)]) == 0
+
+
+def test_cli_parser_reuse_keeps_defaults(tmp_path, capsys):
+    # The parser is built once per process; a call that omits --cap-c and
+    # --out must see their defaults, not the values of the call before it.
+    i, s = tmp_path / "i.json", tmp_path / "s.json"
+    assert cli_dispatch(["gen", "misr", "--n", "8", "--seed", "11", "--planted", "4", "--out", str(i)]) == 0
+    assert cli_dispatch(["solve", "misr-pas", str(i), "--k", "2", "--cap-c", "1", "--out", str(s)]) == 0
+    assert fileio.load_solution(s).provenance["knobs"]["c"] == 1
+    s.unlink()
+    capsys.readouterr()
+    assert cli_dispatch(["solve", "misr-pas", str(i), "--k", "2"]) == 0
+    assert not s.exists()
+    payload = capsys.readouterr().out.rsplit("\n", 2)[0]
+    assert json.loads(payload)["provenance"]["knobs"]["c"] > 1
+    assert cli._build_parser() is cli._build_parser()

@@ -235,3 +235,92 @@ def test_mss_rejects_bad_input():
         mss_exact([0, 3], 5, 2)
     with pytest.raises(ValueError):
         mss_exact([3], -1, 2)
+
+
+def test_choice_sums_take_one_side_per_item():
+    assert oracles._choice_sums([(3, 5)], 100) == [0, 3, 5]
+    assert oracles._choice_sums([(3, 5), (4, 4)], 8) == [0, 3, 4, 5, 7]
+
+
+@pytest.mark.parametrize(
+    "per_item,xs_all,W,H,fits",
+    [
+        # One item taller than the board.
+        ([((2, 5, False),)], [[0]], 5, 4, False),
+        # Two items that must share an x stack to exactly H.
+        ([((3, 2, False),), ((3, 2, False),)], [[0, 2, 3], [0, 2, 3]], 5, 4, True),
+        ([((3, 2, False),), ((3, 3, False),)], [[0, 2, 3], [0, 2, 3]], 5, 4, False),
+        # Each pair fits in height, all three at one x do not.
+        ([((2, 2, False),)] * 3, [[0, 2]] * 3, 3, 5, False),
+        ([((2, 2, False),)] * 3, [[0, 2]] * 3, 3, 6, True),
+        # Intervals are half-open: [0, 2) and [2, 4) do not meet.
+        ([((2, 3, False),), ((2, 3, False),)], [[0, 2]] * 2, 4, 3, True),
+        # A Fraction H just below the stacked height.
+        ([((3, 2, False),), ((3, 2, False),)], [[0, 2, 3]] * 2, 5, Fraction(7, 2), False),
+    ],
+)
+def test_x_projection_cases(per_item, xs_all, W, H, fits):
+    assert oracles._x_projection_fits(per_item, xs_all, W, H, OracleBudget().start_clock()) is fits
+
+
+def test_x_projection_ticks_the_probe_clock():
+    class Expired:
+        def tick(self):
+            raise BudgetExceededError("oracle time budget exceeded")
+
+    with pytest.raises(BudgetExceededError):
+        oracles._x_projection_fits([((1, 1, False),)], [[0]], 2, 2, Expired())
+
+
+def _random_probe(rng, W):
+    """An area-feasible probe of chunky items, the shape the PAS probes."""
+    H = rng.choice([W, W, W - Fraction(1, 2), W + Fraction(7, 3)])
+    lo, hi = W * 7 // 24, W * 21 // 24
+    while True:
+        items = [Item(rng.randint(lo, hi), rng.randint(lo, hi)) for _ in range(rng.randrange(2, 6))]
+        if sum(it.w * it.h for it in items) <= W * H:
+            return items, W, H
+
+
+@pytest.mark.parametrize("rotations", [False, True])
+def test_x_projection_never_rejects_a_packable_probe(rotations, monkeypatch):
+    # The projection may only cut probes the 2D search cannot pack, so the
+    # answers with it and without it are the same placements.
+    rng = random.Random(41 + rotations)
+    probes = [_random_probe(rng, W) for W in [6, 8] * 60 + [24] * 80]
+    verdicts = []
+    check = oracles._x_projection_fits
+
+    def recording(*args):
+        verdicts.append(check(*args))
+        return verdicts[-1]
+
+    monkeypatch.setattr(oracles, "_x_projection_fits", recording)
+    with_check = [packing_feasible_exact(items, W, H, rotations) for items, W, H in probes]
+    monkeypatch.setattr(oracles, "_x_projection_fits", lambda *args: True)
+    for (items, W, H), mine in zip(probes, with_check):
+        assert mine == packing_feasible_exact(items, W, H, rotations), (items, W, H)
+        if W <= 8 and H == W:
+            assert (mine is None) == (packing_feasible_scan(items, W, H, rotations) is None)
+    assert len(verdicts) == len(probes)
+    assert any(mine is not None for mine in with_check) and verdicts.count(False) > 0
+
+
+def test_x_projection_rejects_before_the_2d_search(monkeypatch):
+    # Area fits (0.89 of the board) but no packing exists. The y
+    # coordinates are built only for a probe the projection passes, so a
+    # probe rejected before the 2D search computes m coordinate lists, not 2m.
+    items = [Item(412, 368), Item(431, 496), Item(342, 348), Item(540, 467), Item(354, 423)]
+    calls = []
+    choice_sums = oracles._choice_sums
+
+    def counting(pairs, limit):
+        calls.append(limit)
+        return choice_sums(pairs, limit)
+
+    monkeypatch.setattr(oracles, "_choice_sums", counting)
+    assert packing_feasible_exact(items, 1000, 1000) is None
+    assert len(calls) == len(items)
+    calls.clear()
+    assert packing_feasible_exact(items[:3], 1000, 1000) is not None
+    assert len(calls) == 6
