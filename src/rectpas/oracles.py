@@ -12,8 +12,8 @@ from __future__ import annotations
 import time
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Optional, Sequence
+from itertools import accumulate, chain, combinations
+from typing import Iterable, Optional, Sequence
 
 from .geometry import (
     Item,
@@ -180,17 +180,19 @@ def packing_feasible_exact(
     comparisons are exact, so this holds for a ``Fraction`` H as well.
     Items whose total area exceeds W * H get ``None`` without a search.
 
-    Before the 2D search, the items are projected onto x (the first step
-    of Clautiaux, Carlier and Moukrim 2007): each item, in the same order,
-    gets an orientation and an x from the same canonical values under the
-    same cuts, and at every x the heights of the items covering it must
-    sum to at most H. If no such assignment exists, the answer is ``None``
-    and the y coordinates are never built. This is sound: the packing the
-    2D search would find has disjoint items, so those covering any x stack
-    in [0, H), and its x-projection is an assignment the check accepts.
-    Probes that pass run the 2D search unchanged, so the placements
-    returned are those of the search alone. The projection ticks the same
-    clock, so it shares the probe's time budget.
+    Before the 2D search and at its nodes, the items are projected onto x
+    (Clautiaux, Carlier and Moukrim 2007): each unplaced item, in the same
+    order, gets an orientation and an x from the same canonical values
+    under the same cuts, so that the heights covering every x, the placed
+    items' included, sum to at most H. A probe with no such assignment
+    gets ``None`` before any y coordinate is built; a node with none is
+    cut. An assignment found is a certificate: a child that puts its item
+    on it inherits it. Other children check again, once per x-projection
+    (nodes that differ only in y share the answer). Any completion of a
+    node is a packing, whose items covering an x stack in [0, H), so its
+    x-projection passes the check: only subtrees without a packing are
+    cut, and the first packing found is that of the 2D search alone. The
+    checks tick the probe's clock, so they share its time budget.
 
     With ``verify`` a returned packing is re-validated and, for tiny inputs,
     a "none" answer is cross-checked against the full coordinate scan.
@@ -198,12 +200,11 @@ def packing_feasible_exact(
     m = len(items)
     if m > budget.max_solution_size:
         raise BudgetExceededError(f"{m} items exceed budget {budget.max_solution_size}")
-    clock = budget.start_clock()
     result = None
     if m == 0:
         result = ()
     elif sum(it.w * it.h for it in items) <= W * H:
-        result = _packing_search(items, W, H, rotations, clock)
+        result = _packing_search(items, W, H, rotations, budget.start_clock())
     if verify:
         _verify_packing_answer(items, W, H, rotations, result)
     return result
@@ -222,20 +223,16 @@ def _packing_search(items, W, H, rotations, clock):
     # Large items first prunes earliest; determinism via the index tie-break.
     order = sorted(range(m), key=lambda i: (-items[i].w * items[i].h, i))
     per_item = [_orientations(items[i], rotations) for i in order]
-    dim_pairs = [(items[i].w, items[i].h) for i in order]
-    xs_all = [
-        _choice_sums([dim_pairs[j] for j in range(m) if j != t], W)
-        for t in range(m)
-    ]
-    if not _x_projection_fits(per_item, xs_all, W, H, clock):
+    others = [[(items[j].w, items[j].h) for j in order if j != i] for i in order]
+    xs_all = [_choice_sums(pairs, W) for pairs in others]
+    root = _x_projection_fits(per_item, xs_all, W, H, clock)
+    if root is None:
         return None
-    ys_all = [
-        _choice_sums([dim_pairs[j] for j in range(m) if j != t], H)
-        for t in range(m)
-    ]
+    ys_all = [_choice_sums(pairs, H) for pairs in others]
     out: list[tuple[int, int, int, bool, int, int]] = []
+    checked: dict[tuple, Optional[tuple]] = {}
 
-    def rec(t: int) -> bool:
+    def rec(t: int, cert) -> bool:
         clock.tick()
         if t == m:
             return True
@@ -255,34 +252,47 @@ def _packing_search(items, W, H, rotations, clock):
                 for x1, x2, run in runs:
                     if x < x2 and x1 < x + w:
                         free &= ~run
+                if not free:
+                    continue
+                # cert: this node's x-projection, placed items first. A child
+                # on it inherits it; others share one check per x-projection.
+                key = (*cert[:t], (x, x + w, h))
+                if key not in checked:
+                    checked[key] = cert if cert[t] == key[t] else _x_projection_fits(
+                        per_item, xs_all, W, H, clock, key
+                    )
+                sub = checked[key]
+                if sub is None:
+                    continue
                 while free:
                     low = free & -free
                     free ^= low
                     y = ys[low.bit_length() - 1]
                     out.append((order[t], x, y, rot, x + w, y + h))
-                    if rec(t + 1):
+                    if rec(t + 1, sub):
                         return True
                     out.pop()
         return False
 
-    if rec(0):
+    if rec(0, root):
         return tuple(Placement(*p[:4]) for p in sorted(out))
     return None
 
 
-def _x_projection_fits(per_item, xs_all, W, H, clock) -> bool:
-    """Whether the x-projection admits the search's choices of x.
+def _x_projection_fits(per_item, xs_all, W, H, clock, placed=()):
+    """An x-projection that completes ``placed``, or ``None``.
 
-    Gives item t, in search order, an orientation and an x from
+    ``placed`` holds the intervals (x, x + w, h) of the first items in
+    search order. Each further item t gets an orientation and an x from
     ``xs_all[t]`` under the search's cut, such that at every x the heights
     of the intervals [x, x + w) covering it sum to at most H. The placed
     intervals cut the axis into steps of constant load; a step whose load
     leaves less than h forbids the x values in (a - w, b), a contiguous
     run of the sorted xs, so the free x values are one bitset as in the 2D
-    search.
+    search. The answer lists the intervals of all items, in search order.
     """
     m = len(per_item)
-    placed: list[tuple[int, int, int]] = []
+    placed = list(placed)
 
     def rec(t: int) -> bool:
         clock.tick()
@@ -312,7 +322,7 @@ def _x_projection_fits(per_item, xs_all, W, H, clock) -> bool:
                 placed.pop()
         return False
 
-    return rec(0)
+    return tuple(placed) if rec(len(placed)) else None
 
 
 def packing_feasible_scan(
@@ -393,36 +403,33 @@ def knapsack_exact(
 ) -> tuple[tuple[int, ...], tuple[Placement, ...]]:
     """Maximum-cardinality packable subset of size <= k, with its packing.
 
-    Enumerates candidate subsets by decreasing size with an area bound,
-    probing each with :func:`packing_feasible_exact`. Placements in the
-    result reference the original item indices.
+    Probes subsets by decreasing size, from the most items whose smallest
+    areas fit the board; see :func:`first_packable_subset`.
     """
-    n = len(items)
     if k > budget.max_solution_size:
         raise BudgetExceededError(f"k={k} exceeds budget {budget.max_solution_size}")
+    cap = bisect_right(list(accumulate(sorted(it.w * it.h for it in items))), W * H)
+    sizes = range(min(k, cap), 0, -1)
+    return first_packable_subset(items, range(len(items)), sizes, W, H, rotations, budget) or ((), ())
+
+
+def first_packable_subset(
+    items: Sequence[Item], indices: Sequence[int], sizes: Iterable[int], W: int, H,
+    rotations: bool, budget: OracleBudget,
+) -> Optional[tuple[tuple[int, ...], tuple[Placement, ...]]]:
+    """The first subset of ``indices`` that packs into W x H, with its packing.
+
+    Sizes come in the given order, subsets of a size in lexicographic
+    order, each probed with :func:`packing_feasible_exact` and one tick of
+    a clock shared by the loop. Placements name the original indices.
+    """
     clock = budget.start_clock()
-    areas = sorted(it.w * it.h for it in items)
-    cap = 0
-    total = 0
-    area_limit = W * H
-    for a in areas:
-        if total + a > area_limit:
-            break
-        total += a
-        cap += 1
-    for s in range(min(k, n, cap), 0, -1):
-        for subset in combinations(range(n), s):
-            clock.tick()
-            chosen = [items[i] for i in subset]
-            if sum(it.w * it.h for it in chosen) > area_limit:
-                continue
-            placed = packing_feasible_exact(chosen, W, H, rotations, budget)
-            if placed is not None:
-                remap = tuple(
-                    Placement(subset[pl.item], pl.x, pl.y, pl.rotated) for pl in placed
-                )
-                return subset, remap
-    return (), ()
+    for subset in chain.from_iterable(combinations(indices, s) for s in sizes):
+        clock.tick()
+        placed = packing_feasible_exact([items[i] for i in subset], W, H, rotations, budget)
+        if placed is not None:
+            return subset, tuple(Placement(subset[p.item], p.x, p.y, p.rotated) for p in placed)
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -191,6 +191,21 @@ def test_cli_2dkr_pas_exit_codes(tmp_path):
     assert cli_dispatch(["verify", "packing", str(s), "--instance", str(g)]) == 0
 
 
+def test_cli_2dkr_budget_overrun_is_an_error(tmp_path, capsys):
+    # 14 distinct items, each longer than half the board on both sides: no
+    # two fit together, so both solvers probe all 364 triples, more subsets than
+    # one clock check apart, and overrun a budget of a microsecond.
+    items = tuple(Item(11 + i % 7, 11 + i // 7) for i in range(14))
+    g = fileio.save(fileio.InstanceFile("gknap", GknapInstance(20, items)), tmp_path / "g.json")
+    for algorithm in ("2dkr-exact", "2dkr-pas"):
+        argv = ["solve", algorithm, str(g), "--k", "3", "--eps", "1/10", "--ktilde", "100"]
+        capsys.readouterr()
+        assert cli_dispatch(argv + ["--budget", "0.000001", "--out", str(tmp_path / "s.json")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "budget" in err
+        assert cli_dispatch(argv + ["--out", str(tmp_path / "s.json")]) == 2
+
+
 def test_cli_verify_rejects_tampering(tmp_path):
     g = tmp_path / "g.json"
     s = tmp_path / "s.json"

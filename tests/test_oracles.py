@@ -136,6 +136,20 @@ GOLDEN_PACKINGS = [
         [Item(5, 24), Item(19, 5)], 22, Fraction(88, 3), False,
         [(0, 0, 0, False), (1, 0, 24, False)],
     ),
+    # Seven items: one item's interval recurs under different x positions
+    # of the items placed before it, with different projection answers.
+    (
+        [Item(3, 3), Item(4, 2), Item(3, 1), Item(3, 3), Item(4, 3), Item(4, 3), Item(2, 4)],
+        8, 8, False,
+        [(0, 0, 3, False), (1, 0, 6, False), (2, 4, 7, False), (3, 3, 3, False),
+         (4, 0, 0, False), (5, 4, 0, False), (6, 6, 3, False)],
+    ),
+    (
+        [Item(3, 8), Item(4, 6), Item(3, 6), Item(5, 5), Item(8, 2), Item(7, 3), Item(7, 5)],
+        12, Fraction(43, 3), True,
+        [(0, 7, 0, False), (1, 5, 8, False), (2, 9, 8, False), (3, 0, 8, False),
+         (4, 10, 0, True), (5, 0, 5, False), (6, 0, 0, False)],
+    ),
 ]
 
 
@@ -260,7 +274,13 @@ def test_choice_sums_take_one_side_per_item():
     ],
 )
 def test_x_projection_cases(per_item, xs_all, W, H, fits):
-    assert oracles._x_projection_fits(per_item, xs_all, W, H, OracleBudget().start_clock()) is fits
+    got = oracles._x_projection_fits(per_item, xs_all, W, H, OracleBudget().start_clock())
+    assert (got is not None) is fits
+    if fits:
+        # The assignment gives every item an interval of one of its widths.
+        assert len(got) == len(per_item)
+        for (x1, x2, h), opts, xs in zip(got, per_item, xs_all):
+            assert x1 in xs and (x2 - x1, h) in [(w, hh) for w, hh, _ in opts]
 
 
 def test_x_projection_ticks_the_probe_clock():
@@ -272,14 +292,27 @@ def test_x_projection_ticks_the_probe_clock():
         oracles._x_projection_fits([((1, 1, False),)], [[0]], 2, 2, Expired())
 
 
-def _random_probe(rng, W):
-    """An area-feasible probe of chunky items, the shape the PAS probes."""
+def _random_probe(rng, W, max_items=5, sides=(7, 21)):
+    """An area-feasible probe of chunky items, the shape the PAS probes.
+
+    Sides range over ``sides`` in 24ths of W.
+    """
     H = rng.choice([W, W, W - Fraction(1, 2), W + Fraction(7, 3)])
-    lo, hi = W * 7 // 24, W * 21 // 24
+    lo, hi = W * sides[0] // 24, W * sides[1] // 24
     while True:
-        items = [Item(rng.randint(lo, hi), rng.randint(lo, hi)) for _ in range(rng.randrange(2, 6))]
+        m = rng.randint(2, max_items)
+        items = [Item(rng.randint(lo, hi), rng.randint(lo, hi)) for _ in range(m)]
         if sum(it.w * it.h for it in items) <= W * H:
             return items, W, H
+
+
+def _no_projection(per_item, *args):
+    """Stand-in for the projection check that cuts nothing.
+
+    Its certificate entries are ``None``, which no placement matches, so
+    every 2D node calls it again and is let through.
+    """
+    return [None] * len(per_item)
 
 
 @pytest.mark.parametrize("rotations", [False, True])
@@ -291,19 +324,86 @@ def test_x_projection_never_rejects_a_packable_probe(rotations, monkeypatch):
     verdicts = []
     check = oracles._x_projection_fits
 
-    def recording(*args):
-        verdicts.append(check(*args))
-        return verdicts[-1]
+    def recording(per_item, xs_all, W, H, clock, placed=()):
+        got = check(per_item, xs_all, W, H, clock, placed)
+        if not placed:
+            verdicts.append(got is not None)
+        return got
 
     monkeypatch.setattr(oracles, "_x_projection_fits", recording)
     with_check = [packing_feasible_exact(items, W, H, rotations) for items, W, H in probes]
-    monkeypatch.setattr(oracles, "_x_projection_fits", lambda *args: True)
+    monkeypatch.setattr(oracles, "_x_projection_fits", _no_projection)
     for (items, W, H), mine in zip(probes, with_check):
         assert mine == packing_feasible_exact(items, W, H, rotations), (items, W, H)
         if W <= 8 and H == W:
             assert (mine is None) == (packing_feasible_scan(items, W, H, rotations) is None)
     assert len(verdicts) == len(probes)
     assert any(mine is not None for mine in with_check) and verdicts.count(False) > 0
+
+
+@pytest.mark.parametrize("rotations", [False, True])
+def test_node_projection_keeps_the_first_packing(rotations, monkeypatch):
+    # Node checks cut only subtrees without a packing, so for up to six
+    # items the first packing found is the one the search finds with no
+    # projection check at all, at the root or at the nodes. Smaller sides
+    # than the PAS probes leave room for dead ends below the root.
+    rng = random.Random(7 + rotations)
+    probes = [_random_probe(rng, W, 6, (5, 14)) for W in [24, 100] * 8]
+    node_cuts = 0
+    check = oracles._x_projection_fits
+
+    def counting(per_item, xs_all, W, H, clock, placed=()):
+        nonlocal node_cuts
+        got = check(per_item, xs_all, W, H, clock, placed)
+        node_cuts += bool(placed) and got is None
+        return got
+
+    monkeypatch.setattr(oracles, "_x_projection_fits", counting)
+    mine = [packing_feasible_exact(items, W, H, rotations) for items, W, H in probes]
+    monkeypatch.setattr(oracles, "_x_projection_fits", _no_projection)
+    assert mine == [packing_feasible_exact(items, W, H, rotations) for items, W, H in probes]
+    assert node_cuts > 0 and any(p is not None for p in mine) and None in mine
+
+
+def test_heavy_probe_is_cut_at_the_nodes(monkeypatch):
+    # A 6-item probe the PAS meets on the gknap_n24 bench: the 2D search
+    # alone ticks 7602 times; the node checks leave a few hundred ticks
+    # and the same packing. Nodes that differ only in y share their
+    # x-projection, and no x-projection is checked twice.
+    items = [Item(12, 9), Item(10, 10), Item(10, 7), Item(9, 8), Item(9, 7), Item(11, 7)]
+    checked = []
+    check = oracles._x_projection_fits
+
+    def recording(per_item, xs_all, W, H, clock, placed=()):
+        checked.append(tuple(placed))
+        return check(per_item, xs_all, W, H, clock, placed)
+
+    monkeypatch.setattr(oracles, "_x_projection_fits", recording)
+    clock = OracleBudget(time_limit=3600).start_clock()
+    got = oracles._packing_search(items, 24, 24, True, clock)
+    assert got == tuple(
+        Placement(*p)
+        for p in [(0, 0, 0, False), (1, 9, 14, False), (2, 12, 7, False),
+                  (3, 0, 9, False), (4, 0, 17, False), (5, 12, 0, False)]
+    )
+    assert clock.checks <= 1000
+    assert len(set(checked)) == len(checked) > 1
+
+
+def test_search_that_follows_the_certificate_checks_once(monkeypatch):
+    # The 2D search places both items where the root projection put them
+    # (x = 0, stacked), so no node runs a projection of its own.
+    calls = []
+    check = oracles._x_projection_fits
+
+    def counting(*args):
+        calls.append(args)
+        return check(*args)
+
+    monkeypatch.setattr(oracles, "_x_projection_fits", counting)
+    got = packing_feasible_exact([Item(5, 3), Item(4, 2)], 6, 6, rotations=False)
+    assert got == (Placement(0, 0, 0, False), Placement(1, 0, 3, False))
+    assert len(calls) == 1
 
 
 def test_x_projection_rejects_before_the_2d_search(monkeypatch):
