@@ -36,7 +36,6 @@ from .misr import (
     build_G1,
     build_G2,
     build_grid,
-    enumerate_cell_sets,
     grid_cells,
     kernel_misr,
     pas_misr,
@@ -60,6 +59,7 @@ from .gknap import (
 from .oracles import (
     BudgetExceededError,
     OracleBudget,
+    enumerate_cell_sets,
     knapsack_exact,
     mis_rectangles_exact,
     mss_exact,

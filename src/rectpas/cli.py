@@ -71,7 +71,6 @@ def _build_parser() -> _Parser:
     s.add_argument("--k", type=int, required=True)
     s.add_argument("--eps", type=_epsilon, default=Fraction(1, 2))
     s.add_argument("--cap-c", type=int, default=None)
-    s.add_argument("--cap-b", type=int, default=None)
     s.add_argument("--ktilde", type=int, default=None)
     s.add_argument("--budget", type=float, default=None, help="time budget in seconds")
     s.add_argument("--out", type=Path, default=None)
@@ -82,7 +81,6 @@ def _build_parser() -> _Parser:
     kn.add_argument("--k", type=int, required=True)
     kn.add_argument("--eps", type=_epsilon, default=Fraction(1, 2))
     kn.add_argument("--cap-c", type=int, default=None)
-    kn.add_argument("--cap-b", type=int, default=None)
     kn.add_argument("--ktilde", type=int, default=None)
     kn.add_argument("--out", type=Path, default=None)
 
@@ -173,8 +171,8 @@ def _cmd_solve(args) -> int:
             if len(selected) < args.k:
                 prov["assertions"].append(f"OPT < {args.k}")
         else:
-            result = misr.pas_misr(inst, args.k, args.eps, args.cap_c, args.cap_b)
-            prov["knobs"] = {"c": result.metadata["c"], "b": result.metadata["b"]}
+            result = misr.pas_misr(inst, args.k, args.eps, args.cap_c)
+            prov["knobs"] = {"c": result.metadata["c"]}
             selected = result.selected or ()
             if not result.positive:
                 prov["assertions"].append(f"OPT < {args.k}")
@@ -216,9 +214,7 @@ def _cmd_kernel(args) -> int:
     if args.problem == "misr":
         if inst_file.kind != "misr":
             raise _UsageError("misr kernel needs a misr instance")
-        report = misr.kernel_misr(
-            normalize_instance(inst_file.instance), args.k, args.eps, args.cap_c, args.cap_b
-        )
+        report = misr.kernel_misr(normalize_instance(inst_file.instance), args.k, args.eps, args.cap_c)
     else:
         if inst_file.kind != "gknap":
             raise _UsageError("2dkr kernel needs a gknap instance")

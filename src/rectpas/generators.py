@@ -16,7 +16,7 @@ from .geometry import (
     Packing,
     Placement,
     Rect,
-    open_overlap,
+    boxes_overlap,
 )
 
 
@@ -101,10 +101,7 @@ def gen_gknap_packed(
         h = rng.randrange(max(1, N // (6 * max_frac)), w + 1)
         x = rng.randrange(0, N - w + 1)
         y = rng.randrange(0, N - h + 1)
-        if any(
-            open_overlap(x, x + w, b[0], b[2]) and open_overlap(y, y + h, b[1], b[3])
-            for b in boxes
-        ):
+        if any(boxes_overlap((x, y, x + w, y + h), b) for b in boxes):
             continue
         items.append(Item(w, h))
         placements.append(Placement(len(items) - 1, x, y, False))

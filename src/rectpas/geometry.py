@@ -59,14 +59,17 @@ def open_overlap(a1: Coord, a2: Coord, b1: Coord, b2: Coord) -> bool:
     return a1 < b2 and b1 < a2
 
 
+def boxes_overlap(a: Sequence[Coord], b: Sequence[Coord]) -> bool:
+    """True iff the open boxes a and b, each (x1, y1, x2, y2), intersect."""
+    return open_overlap(a[0], a[2], b[0], b[2]) and open_overlap(a[1], a[3], b[1], b[3])
+
+
 def rects_disjoint(a: Rect, b: Rect) -> bool:
     """True iff the open interiors of two rectangles are disjoint.
 
     Shared boundaries do not count as overlap.
     """
-    return not (
-        open_overlap(a.x1, a.x2, b.x1, b.x2) and open_overlap(a.y1, a.y2, b.y1, b.y2)
-    )
+    return not boxes_overlap((a.x1, a.y1, a.x2, a.y2), (b.x1, b.y1, b.x2, b.y2))
 
 
 @dataclass(frozen=True)
@@ -115,6 +118,21 @@ def normalize_instance(inst: MisrInstance) -> MisrInstance:
     return MisrInstance(
         tuple(Rect(xs[r.x1], ys[r.y1], xs[r.x2], ys[r.y2]) for r in inst.rects)
     )
+
+
+def conflict_masks(inst: MisrInstance) -> tuple[int, ...]:
+    """The conflict index: bit j of entry i is set iff rectangle j overlaps i.
+
+    Each entry holds its own rectangle, so ``alive & ~conflict[v]`` drops v
+    together with every rectangle it overlaps.
+    """
+    masks = [1 << i for i in range(inst.n)]
+    for i, a in enumerate(inst.rects):
+        for j in range(i + 1, inst.n):
+            if not rects_disjoint(a, inst.rects[j]):
+                masks[i] |= 1 << j
+                masks[j] |= 1 << i
+    return tuple(masks)
 
 
 def validate_misr_solution(inst: MisrInstance, selected: Iterable[int]) -> bool:
@@ -269,12 +287,8 @@ def validate_packing(p: Packing, items: Sequence[Item]) -> ValidationResult:
     for a in range(len(boxes)):
         if boxes[a] is None:
             continue
-        ax1, ay1, ax2, ay2 = boxes[a]
         for b in range(a + 1, len(boxes)):
-            if boxes[b] is None:
-                continue
-            bx1, by1, bx2, by2 = boxes[b]
-            if open_overlap(ax1, ax2, bx1, bx2) and open_overlap(ay1, ay2, by1, by2):
+            if boxes[b] is not None and boxes_overlap(boxes[a], boxes[b]):
                 out.append(
                     Violation("overlap", (a, b), f"placements {a} and {b} overlap")
                 )

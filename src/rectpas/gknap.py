@@ -27,6 +27,7 @@ from .geometry import (
     Packing,
     Placement,
     as_epsilon,
+    boxes_overlap,
     open_overlap,
     validate_packing,
 )
@@ -437,13 +438,11 @@ def free_strip(
     path_set = set(path)
     casualties: list[tuple[int, ...]] = []
     doomed = set(path)
-    for dx1, dy1, dx2, dy2 in deletion_boxes:
+    for box in deletion_boxes:
         hit = tuple(
             v
             for v in range(len(pushed.placements))
-            if v not in path_set
-            and open_overlap(boxes[v][0], boxes[v][2], dx1, dx2)
-            and open_overlap(boxes[v][1], boxes[v][3], dy1, dy2)
+            if v not in path_set and boxes_overlap(boxes[v], box)
         )
         casualties.append(tuple(pushed.placements[v].item for v in hit))
         doomed.update(hit)
@@ -536,9 +535,6 @@ class InflatedPacking:
     rounded: tuple[RoundedItem, ...]
     placements: tuple[Placement, ...]
 
-    def placed_box(self, i: int, items: Sequence[Item]):
-        return _inflated_box(self.placements[i], self.rounded[i], items[self.rounded[i].index])
-
 
 def _inflated_box(pl: Placement, ri: RoundedItem, it: Item):
     if pl.rotated:
@@ -612,9 +608,7 @@ def _check_inflated(p: InflatedPacking, items: Sequence[Item]) -> None:
         boxes.append(box)
     for a in range(len(boxes)):
         for b in range(a + 1, len(boxes)):
-            if open_overlap(boxes[a][0], boxes[a][2], boxes[b][0], boxes[b][2]) and open_overlap(
-                boxes[a][1], boxes[a][3], boxes[b][1], boxes[b][3]
-            ):
+            if boxes_overlap(boxes[a], boxes[b]):
                 raise AssertionError("rounded items overlap")
 
 

@@ -18,7 +18,7 @@ from .geometry import (
     Item,
     Packing,
     Placement,
-    open_overlap,
+    boxes_overlap,
 )
 
 
@@ -42,10 +42,6 @@ class ReductionOutput:
     constants: ReductionConstants
     roles: Mapping[int, tuple]
     tile_index: Mapping[tuple[int, int], int]  # (value position, copy) -> item
-
-    def tiles_for_value(self, pos: int) -> tuple[int, ...]:
-        k2 = self.constants.k**2
-        return tuple(self.tile_index[(pos, c)] for c in range(k2))
 
 
 def reduction_constants(xs: Sequence[int], t: int, k: int) -> ReductionConstants:
@@ -290,10 +286,7 @@ def verify_construction_cases(red: ReductionOutput, packing: Packing) -> Interva
                     (boxes[i], boxes[j]) if _before(slots[i], slots[j], "y") else (boxes[j], boxes[i])
                 )
                 holds = low_box[3] <= high_box[1]
-            generic = not (
-                open_overlap(boxes[i][0], boxes[i][2], boxes[j][0], boxes[j][2])
-                and open_overlap(boxes[i][1], boxes[i][3], boxes[j][1], boxes[j][3])
-            )
+            generic = not boxes_overlap(boxes[i], boxes[j])
             if not holds or not generic:
                 out.append(
                     f"{kind1}({a1},{b1}) vs {kind2}({a2},{b2}): "

@@ -20,7 +20,7 @@ from itertools import accumulate
 from math import ceil
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .geometry import MisrInstance, KernelReport, Rect, as_epsilon, rects_disjoint, validate_misr_solution
+from .geometry import MisrInstance, KernelReport, Rect, as_epsilon, conflict_masks, validate_misr_solution
 from .planar import (
     Box,
     Division,
@@ -420,57 +420,6 @@ def structured_solution(
 # Candidate cell sets, subproblems, PAS and kernel
 
 
-@dataclass(frozen=True)
-class CellSet:
-    """A union of cell blocks; blocks are (col_lo, row_lo, col_hi, row_hi)."""
-
-    cells: frozenset[tuple[int, int]]
-    blocks: tuple[tuple[int, int, int, int], ...]
-
-    def __post_init__(self) -> None:
-        union = set()
-        for c0, r0, c1, r1 in self.blocks:
-            union.update((c, r) for c in range(c0, c1 + 1) for r in range(r0, r1 + 1))
-        if union != set(self.cells):
-            raise ValueError("cell set does not match its block signatures")
-
-
-def _block_cells(block: tuple[int, int, int, int]) -> frozenset[tuple[int, int]]:
-    c0, r0, c1, r1 = block
-    return frozenset((c, r) for c in range(c0, c1 + 1) for r in range(r0, r1 + 1))
-
-
-def all_blocks(grid: Grid) -> tuple[tuple[int, int, int, int], ...]:
-    return tuple(
-        (c0, r0, c1, r1)
-        for c0 in range(grid.n_cols)
-        for r0 in range(grid.n_rows)
-        for c1 in range(c0, grid.n_cols)
-        for r1 in range(r0, grid.n_rows)
-    )
-
-
-def enumerate_cell_sets(grid: Grid, b: int) -> Iterable[CellSet]:
-    """Stream all distinct unions of at most b cell blocks.
-
-    Deduplicated by cell content; the first block combination (in
-    lexicographic order) producing a union wins as its signature.
-    """
-    if b < 1:
-        raise ValueError("block budget must be at least 1")
-    from itertools import combinations
-
-    blocks = all_blocks(grid)
-    seen: set[frozenset[tuple[int, int]]] = set()
-    for size in range(1, b + 1):
-        for combo in combinations(blocks, size):
-            cells = frozenset().union(*(_block_cells(bl) for bl in combo))
-            if cells in seen:
-                continue
-            seen.add(cells)
-            yield CellSet(cells, combo)
-
-
 def cell_mask(grid: Grid, cells: Iterable[tuple[int, int]]) -> int:
     """Cells as an int with bit ``col * n_rows + row`` set per cell.
 
@@ -489,11 +438,11 @@ def _mask_index(inst: MisrInstance, grid: Grid) -> tuple[tuple[int, ...], ...]:
 
     Per rectangle: its cell-span mask (see ``cell_mask``), and two masks over
     rectangle indices, bit j set when rectangle j shares a cell with it
-    (``shares``) or overlaps it (``conflict``, which holds the rectangle
-    itself). Overlapping open rectangles meet inside some cell, so every
-    other conflict is also a share. A one-slot cache hits when both
-    arguments are the very objects of the last call: comparing them by
-    value would hash every rectangle on each capped-MIS call.
+    (``shares``) or overlaps it (``conflict``, from ``conflict_masks``).
+    Overlapping open rectangles meet inside some cell, so every other
+    conflict is also a share. A one-slot cache hits when both arguments are
+    the very objects of the last call: comparing them by value would hash
+    every rectangle on each capped-MIS call.
     """
     global _last_index
     last_inst, last_grid, index = _last_index
@@ -501,39 +450,31 @@ def _mask_index(inst: MisrInstance, grid: Grid) -> tuple[tuple[int, ...], ...]:
         return index
     spans = [cell_mask(grid, cells_spanned(grid, r)) for r in inst.rects]
     shares = [0] * inst.n
-    conflict = [1 << i for i in range(inst.n)]
     for i in range(inst.n):
         for j in range(i + 1, inst.n):
             if spans[i] & spans[j]:
                 shares[i] |= 1 << j
                 shares[j] |= 1 << i
-                if not rects_disjoint(inst.rects[i], inst.rects[j]):
-                    conflict[i] |= 1 << j
-                    conflict[j] |= 1 << i
-    _last_index = (inst, grid, (tuple(spans), tuple(shares), tuple(conflict)))
+    _last_index = (inst, grid, (tuple(spans), tuple(shares), conflict_masks(inst)))
     return _last_index[2]
 
 
-def solve_cellset_subproblem(
-    inst: MisrInstance, grid: Grid, cells: CellSet | frozenset | int, cap: int
-) -> tuple[int, ...]:
+def solve_cellset_subproblem(inst: MisrInstance, grid: Grid, cells: int, cap: int) -> tuple[int, ...]:
     """Best feasible subset of size <= cap among rectangles inside the cells.
 
-    ``cells`` is a cell set or a cell mask as built by ``cell_mask``. A
-    rectangle lies inside iff its span mask in ``_mask_index`` has no bit
-    outside the cells. The search branches over the inside rectangles in
-    index order, include first, and keeps a mask of those the chosen ones
-    block, so among equally sized optima the lexicographically smallest
-    wins; it stops as soon as the best reaches cap. A branch is cut when
-    the chosen rectangles plus all unblocked remaining ones cannot exceed
-    the best so far. The best changes only on a strict gain, so the cut
-    never changes which maximum is found first.
+    ``cells`` is a cell mask as built by ``cell_mask``. A rectangle lies
+    inside iff its span mask in ``_mask_index`` has no bit outside the
+    cells. The search branches over the inside rectangles in index order,
+    include first, and keeps a mask of those the chosen ones block, so
+    among equally sized optima the lexicographically smallest wins; it
+    stops as soon as the best reaches cap. A branch is cut when the chosen
+    rectangles plus all unblocked remaining ones cannot exceed the best so
+    far. The best changes only on a strict gain, so the cut never changes
+    which maximum is found first.
     """
     if cap < 0:
         raise ValueError("cap must be non-negative")
     spans, _, conflict = _mask_index(inst, grid)
-    if not isinstance(cells, int):
-        cells = cell_mask(grid, cells.cells if isinstance(cells, CellSet) else cells)
     inside = sum(1 << i for i, span in enumerate(spans) if not span & ~cells)
     best: list[int] = []
     chosen: list[int] = []
@@ -580,14 +521,14 @@ def _candidate_family(inst: MisrInstance, grid: Grid, c: int) -> list[_Candidate
     Every union of blocks worth value v contains an independent subset of v
     rectangles whose own footprint is a candidate here, so the set-packing
     optimum over this family equals the optimum over the full block-union
-    enumeration while staying desk sized. Subsets of up to c rectangles,
-    whatever the block budget, are grown through the shares-a-cell relation
-    of the span/conflict index (``_mask_index``); the footprint, frontier,
-    banned and blocked sets are masks. Disconnected unions split into
-    equivalent separate candidates. Each distinct footprint, in order of
-    discovery, is solved once through ``solve_cellset_subproblem``. The
-    family is sorted by (-value, ascending cell list, solution); a cell's
-    bit index orders cells as (col, row) does.
+    enumeration while staying desk sized. Subsets of up to c rectangles are
+    grown through the shares-a-cell relation of the span/conflict index
+    (``_mask_index``); the footprint, frontier, banned and blocked sets are
+    masks. Disconnected unions split into equivalent separate candidates.
+    Each distinct footprint, in order of discovery, is solved once through
+    ``solve_cellset_subproblem``. The family is sorted by (-value, ascending
+    cell list, solution); a cell's bit index orders cells as (col, row)
+    does.
     """
     limit = min(c, inst.n)
     if limit <= 0:
@@ -683,10 +624,9 @@ def _max_disjoint_collection(
     return best_total, best_sol, nodes
 
 
-def theory_knobs(epsilon: Fraction | float) -> tuple[int, int]:
-    """Default cap and block budget: c = ceil(eps^-8), computed exactly, b = c."""
-    c = max(1, ceil(1 / as_epsilon(epsilon) ** 8))
-    return c, c
+def theory_cap(epsilon: Fraction | float) -> int:
+    """Default cap c = ceil(eps^-8), computed exactly."""
+    return max(1, ceil(1 / as_epsilon(epsilon) ** 8))
 
 
 @dataclass(frozen=True)
@@ -708,7 +648,6 @@ def pas_misr(
     k: int,
     epsilon: Fraction | float,
     c: Optional[int] = None,
-    b: Optional[int] = None,
 ) -> PasMisrResult:
     """Parameterized approximation run for a target solution size k.
 
@@ -722,15 +661,12 @@ def pas_misr(
     under the theory knob mapping at desk scale.
     """
     eps = as_epsilon(epsilon)
-    tc, tb = theory_knobs(eps)
-    cap_c = tc if c is None else c
-    cap_b = tb if b is None else b
+    cap_c = theory_cap(eps) if c is None else c
     threshold = max(ceil((1 - eps) * k), 0)
     meta: dict[str, object] = {
         "k": k,
         "epsilon": eps,
         "c": cap_c,
-        "b": cap_b,
         "threshold": threshold,
         "decision_rule": "positive iff best total >= k",
         "assertion_sound_under": "theory knob mapping",
@@ -756,7 +692,6 @@ def kernel_misr(
     k: int,
     epsilon: Fraction | float,
     c: Optional[int] = None,
-    b: Optional[int] = None,
 ) -> KernelReport:
     """Approximate kernel: union of capped solutions over all candidates.
 
@@ -764,16 +699,16 @@ def kernel_misr(
     Otherwise each candidate cell set contributes its capped subproblem
     solution; the union preserves a (1-eps) fraction of min(k, OPT)
     whenever the family covers the structured groups. The kernel size is
-    bounded by c times the candidate count, itself at most k^(4b).
+    bounded by c times the candidate count, itself at most k^(4c): a
+    footprint is a union of at most c rectangle spans, each a block of the
+    grid's fewer than k^2 cells.
     """
-    tc, tb = theory_knobs(epsilon)
-    cap_c = tc if c is None else c
-    cap_b = tb if b is None else b
+    cap_c = theory_cap(epsilon) if c is None else c
     outcome = build_grid(inst, k)
     if not outcome.is_grid:
         return KernelReport(
             tuple(sorted(outcome.witness)),
-            {"c": cap_c, "b": cap_b, "k": k, "grid_shortcut": True},
+            {"c": cap_c, "k": k, "grid_shortcut": True},
         )
     cands = _candidate_family(inst, outcome.grid, cap_c)
     kernel: set[int] = set()
@@ -781,5 +716,5 @@ def kernel_misr(
         kernel.update(cand.solution)
     return KernelReport(
         tuple(sorted(kernel)),
-        {"c": cap_c, "b": cap_b, "k": k, "grid_shortcut": False, "candidates": len(cands)},
+        {"c": cap_c, "k": k, "grid_shortcut": False, "candidates": len(cands)},
     )

@@ -1,8 +1,9 @@
 """Independent brute-force referees.
 
-Exact maximum independent set of rectangles, complete rectangle-packing
-feasibility, exact cardinality geometric knapsack, and a multi-subset-sum
-DP with witness reconstruction. These define ground truth for tests and for
+Exact maximum independent set of rectangles, the paper's block-union
+family of candidate cell sets, complete rectangle-packing feasibility,
+exact cardinality geometric knapsack, and a multi-subset-sum DP with
+witness reconstruction. These define ground truth for tests and for
 the acceptance suite, so they favour transparent completeness arguments over
 speed and every answer carries a checkable certificate.
 """
@@ -13,17 +14,20 @@ import time
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, chain, combinations
-from typing import Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from .geometry import (
     Item,
     MisrInstance,
     Packing,
     Placement,
-    rects_disjoint,
+    conflict_masks,
     validate_misr_solution,
     validate_packing,
 )
+
+if TYPE_CHECKING:
+    from .misr import Grid
 
 
 class BudgetExceededError(RuntimeError):
@@ -68,27 +72,20 @@ DEFAULT_BUDGET = OracleBudget()
 # Maximum independent set of rectangles
 
 
-def conflict_graph(inst: MisrInstance) -> list[set[int]]:
-    """Adjacency lists of the rectangle intersection graph."""
-    adj: list[set[int]] = [set() for _ in range(inst.n)]
-    for i in range(inst.n):
-        for j in range(i + 1, inst.n):
-            if not rects_disjoint(inst.rects[i], inst.rects[j]):
-                adj[i].add(j)
-                adj[j].add(i)
-    return adj
+def _clique_cover_bound(conflict: Sequence[int], members: list[int]) -> int:
+    """Greedy clique cover size: an upper bound on the independent set.
 
-
-def _clique_cover_bound(adj: Sequence[set[int]], alive: list[int]) -> int:
-    """Greedy clique cover size: an upper bound on the independent set."""
-    cliques: list[list[int]] = []
-    for v in alive:
-        for cl in cliques:
-            if all(u in adj[v] for u in cl):
-                cl.append(v)
+    Each member, in the given order, joins the first clique it overlaps
+    entirely (a clique is a mask of rectangle indices).
+    """
+    cliques: list[int] = []
+    for v in members:
+        for i, cl in enumerate(cliques):
+            if not cl & ~conflict[v]:
+                cliques[i] = cl | 1 << v
                 break
         else:
-            cliques.append([v])
+            cliques.append(1 << v)
     return len(cliques)
 
 
@@ -97,32 +94,36 @@ def mis_rectangles_exact(
 ) -> tuple[int, ...]:
     """Exact maximum independent set via branch and bound.
 
-    Branches on the maximum-degree rectangle of the live subproblem and
-    prunes with a greedy clique cover bound. The certificate is re-validated
+    The live subproblem is a mask over rectangle indices, read against
+    ``conflict_masks``. Branches on the live rectangle of maximum degree
+    (ties to the smaller index), include first, and skips it only when it
+    overlaps some other live rectangle; prunes with a greedy clique cover
+    bound taken in ascending index order. The certificate is re-validated
     before returning.
     """
     if inst.n > budget.max_items:
         raise BudgetExceededError(f"{inst.n} rectangles exceed budget {budget.max_items}")
     clock = budget.start_clock()
-    adj = conflict_graph(inst)
+    conflict = conflict_masks(inst)
     best: list[int] = []
 
-    def search(alive: list[int], chosen: list[int]) -> None:
+    def search(alive: int, chosen: list[int]) -> None:
         nonlocal best
         clock.tick()
         if not alive:
             if len(chosen) > len(best):
                 best = sorted(chosen)
             return
-        if len(chosen) + _clique_cover_bound(adj, alive) <= len(best):
+        members = [u for u in range(alive.bit_length()) if alive >> u & 1]
+        if len(chosen) + _clique_cover_bound(conflict, members) <= len(best):
             return
-        v = max(alive, key=lambda u: (len(adj[u] & set(alive)), -u))
-        rest = [u for u in alive if u != v]
-        search([u for u in rest if u not in adj[v]], chosen + [v])
-        if adj[v] & set(rest):
+        v = max(members, key=lambda u: ((conflict[u] & alive).bit_count(), -u))
+        rest = alive & ~(1 << v)
+        search(alive & ~conflict[v], chosen + [v])
+        if conflict[v] & rest:
             search(rest, chosen)
 
-    search(list(range(inst.n)), [])
+    search((1 << inst.n) - 1, [])
     assert validate_misr_solution(inst, best)
     return tuple(best)
 
@@ -138,6 +139,58 @@ def mis_rectangles_scan(inst: MisrInstance) -> tuple[int, ...]:
         if validate_misr_solution(inst, sel):
             best = tuple(sel)
     return best
+
+
+# ---------------------------------------------------------------------------
+# Candidate cell sets: the block-union family
+
+
+@dataclass(frozen=True)
+class CellSet:
+    """A union of cell blocks; blocks are (col_lo, row_lo, col_hi, row_hi)."""
+
+    cells: frozenset[tuple[int, int]]
+    blocks: tuple[tuple[int, int, int, int], ...]
+
+    def __post_init__(self) -> None:
+        if frozenset().union(*map(_block_cells, self.blocks)) != self.cells:
+            raise ValueError("cell set does not match its block signatures")
+
+
+def _block_cells(block: tuple[int, int, int, int]) -> frozenset[tuple[int, int]]:
+    c0, r0, c1, r1 = block
+    return frozenset((c, r) for c in range(c0, c1 + 1) for r in range(r0, r1 + 1))
+
+
+def all_blocks(grid: Grid) -> tuple[tuple[int, int, int, int], ...]:
+    return tuple(
+        (c0, r0, c1, r1)
+        for c0 in range(grid.n_cols)
+        for r0 in range(grid.n_rows)
+        for c1 in range(c0, grid.n_cols)
+        for r1 in range(r0, grid.n_rows)
+    )
+
+
+def enumerate_cell_sets(grid: Grid, b: int) -> Iterable[CellSet]:
+    """Stream all distinct unions of at most b cell blocks.
+
+    This is the paper's candidate family with its block budget b, the
+    referee for the family that ``misr`` grows. Deduplicated by cell
+    content; the first block combination (in lexicographic order) producing
+    a union wins as its signature.
+    """
+    if b < 1:
+        raise ValueError("block budget must be at least 1")
+    blocks = all_blocks(grid)
+    seen: set[frozenset[tuple[int, int]]] = set()
+    for size in range(1, b + 1):
+        for combo in combinations(blocks, size):
+            cells = frozenset().union(*(_block_cells(bl) for bl in combo))
+            if cells in seen:
+                continue
+            seen.add(cells)
+            yield CellSet(cells, combo)
 
 
 # ---------------------------------------------------------------------------

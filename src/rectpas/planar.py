@@ -331,9 +331,6 @@ class SeparatorResult:
     vertices: frozenset[int]
     beta: float
 
-    def __iter__(self):
-        return iter(self.vertices)
-
 
 def balanced_separator(g: AdjacencyLike) -> SeparatorResult:
     """BFS-level separator: removing it leaves components of <= ceil(2n/3).

@@ -172,13 +172,13 @@ def test_criterion_4_pas_misr(misr_corpus6):
     for seed, inst, opt in misr_corpus6:
         k = len(opt)
         c = _oracle_knobs(inst, opt)
-        pos = pas_misr(inst, k, 0.5, c=c, b=c)
+        pos = pas_misr(inst, k, 0.5, c=c)
         ok = (
             pos.positive
             and validate_misr_solution(inst, pos.selected)
             and len(pos.selected) >= ceil(0.5 * k)
         )
-        neg = pas_misr(inst, k + 1, 0.5, c=c, b=c)
+        neg = pas_misr(inst, k + 1, 0.5, c=c)
         ok = ok and neg.opt_below_k and not neg.positive and len(opt) < k + 1
         failures += not ok
     elapsed = time.monotonic() - t0
@@ -196,7 +196,7 @@ def test_criterion_5_misr_kernel(misr_corpus6):
     for seed, inst, opt in misr_corpus6:
         k = len(opt)
         c = _oracle_knobs(inst, opt)
-        ker = kernel_misr(inst, k, 0.5, c=c, b=c)
+        ker = kernel_misr(inst, k, 0.5, c=c)
         ok = ker.size <= c * k ** (4 * c)
         sub = MisrInstance(tuple(inst.rects[i] for i in ker.indices))
         sub_opt = mis_rectangles_exact(sub, MISR_BUDGET)

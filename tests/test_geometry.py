@@ -9,6 +9,7 @@ from rectpas.geometry import (
     Placement,
     Rect,
     canonicalize_items,
+    conflict_masks,
     normalize_instance,
     open_overlap,
     rects_disjoint,
@@ -41,6 +42,23 @@ def _rand_rect(rng):
     x1 = rng.randrange(0, 12)
     y1 = rng.randrange(0, 12)
     return Rect(x1, y1, x1 + rng.randrange(1, 6), y1 + rng.randrange(1, 6))
+
+
+def test_conflict_masks_match_pairwise_disjointness():
+    # 0 and 1 share an edge, 0 and 2 a corner, 1 and 2 an edge; 3 overlaps
+    # all three; 4 shares part of an edge with 2 and meets nothing else.
+    touching = MisrInstance.from_coords([(0, 0, 2, 2), (2, 0, 4, 2), (2, 2, 4, 4), (1, 1, 3, 3), (3, 4, 5, 6)])
+    assert conflict_masks(touching) == (0b01001, 0b01010, 0b01100, 0b01111, 0b10000)
+    rng = random.Random(17)
+    for n in (0, 1, 9, 16):
+        for _ in range(12):
+            inst = MisrInstance(tuple(_rand_rect(rng) for _ in range(n)))
+            masks = conflict_masks(inst)
+            assert len(masks) == n and all(m < 1 << n for m in masks)
+            for i in range(n):
+                for j in range(n):
+                    overlap = i == j or not rects_disjoint(inst.rects[i], inst.rects[j])
+                    assert bool(masks[i] >> j & 1) == overlap
 
 
 def test_degenerate_rect_rejected():

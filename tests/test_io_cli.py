@@ -173,7 +173,7 @@ def test_cli_misr_pas_roundtrip(tmp_path):
     assert cli_dispatch(["gen", "misr", "--n", "8", "--seed", "11", "--planted", "4", "--out", str(i)]) == 0
     rc = cli_dispatch([
         "solve", "misr-pas", str(i), "--k", "2", "--eps", "0.5",
-        "--cap-c", "4", "--cap-b", "4", "--out", str(s),
+        "--cap-c", "4", "--out", str(s),
     ])
     assert rc == 0
     assert cli_dispatch(["verify", "solution", str(s), "--instance", str(i)]) == 0
@@ -241,7 +241,7 @@ def test_cli_kernel_commands(tmp_path):
     k = tmp_path / "k.json"
     assert cli_dispatch(["gen", "misr", "--n", "10", "--seed", "2", "--out", str(i)]) == 0
     assert cli_dispatch(["kernel", "misr", str(i), "--k", "3", "--eps", "0.5",
-                         "--cap-c", "3", "--cap-b", "3", "--out", str(k)]) == 0
+                         "--cap-c", "3", "--out", str(k)]) == 0
     payload = json.loads(k.read_text())
     assert payload["type"] == "kernel" and payload["indices"]
     g = tmp_path / "g.json"
@@ -381,8 +381,8 @@ def test_cli_verify_accepts_every_solver_output(tmp_path):
     runs = [
         (["solve", "misr-exact", str(mi), "--k", "2"], mi, "solution"),
         (["solve", "misr-exact", str(mi), "--k", "11"], mi, "solution"),
-        (["solve", "misr-pas", str(mi), "--k", "2", "--cap-c", "4", "--cap-b", "4"], mi, "solution"),
-        (["solve", "misr-pas", str(mi), "--k", "11", "--cap-c", "4", "--cap-b", "4"], mi, "solution"),
+        (["solve", "misr-pas", str(mi), "--k", "2", "--cap-c", "4"], mi, "solution"),
+        (["solve", "misr-pas", str(mi), "--k", "11", "--cap-c", "4"], mi, "solution"),
         (["solve", "2dkr-exact", str(gi), "--k", "2"], gi, "packing"),
         (["solve", "2dkr-pas", str(gi), "--k", "2"], gi, "packing"),
         (["solve", "2dkr-pas", str(gi), "--k", "9"], gi, "packing"),

@@ -10,22 +10,21 @@ from rectpas import misr
 from rectpas.generators import gen_misr
 from rectpas.geometry import MisrInstance, normalize_instance, rects_disjoint, validate_misr_solution
 from rectpas.misr import (
-    CellSet,
-    all_blocks,
+    Grid,
     build_G1,
     build_G2,
     build_grid,
+    cell_mask,
     cells_spanned,
     crossing_lines,
-    enumerate_cell_sets,
     grid_cells,
     kernel_misr,
     pas_misr,
     solve_cellset_subproblem,
     structured_solution,
-    theory_knobs,
+    theory_cap,
 )
-from rectpas.oracles import mis_rectangles_exact
+from rectpas.oracles import CellSet, _block_cells, all_blocks, enumerate_cell_sets, mis_rectangles_exact
 from rectpas.planar import apply_separator, check_drawing_planar
 from tests.conftest import MISR_BUDGET
 
@@ -255,11 +254,7 @@ def test_structured_partition_and_cell_disjointness(misr_corpus6):
 
 
 def test_enumerate_cell_sets_2x2_single_blocks():
-    out = build_grid(STACK2, 3)
-    grid = out.grid
     # force a 2x2 cell grid for the counting example
-    from rectpas.misr import Grid
-
     g22 = Grid(v_lines=(0, 1, 2), h_lines=(0, 1, 2))
     family = list(enumerate_cell_sets(g22, 1))
     assert len(family) == 9
@@ -268,8 +263,6 @@ def test_enumerate_cell_sets_2x2_single_blocks():
 
 
 def test_enumerate_cell_sets_b2_matches_bruteforce():
-    from rectpas.misr import Grid, _block_cells
-
     g22 = Grid(v_lines=(0, 1, 2), h_lines=(0, 1, 2))
     family = {cs.cells for cs in enumerate_cell_sets(g22, 2)}
     blocks = all_blocks(g22)
@@ -280,8 +273,6 @@ def test_enumerate_cell_sets_b2_matches_bruteforce():
 
 
 def test_enumerate_cell_sets_requires_budget():
-    from rectpas.misr import Grid
-
     with pytest.raises(ValueError):
         list(enumerate_cell_sets(Grid((0, 1), (0, 1)), 0))
 
@@ -293,7 +284,7 @@ def test_cellset_signature_invariant():
 
 def test_subproblem_empty_cells():
     out = build_grid(DIAGONAL3, 4)
-    assert solve_cellset_subproblem(DIAGONAL3, out.grid, frozenset(), 3) == ()
+    assert solve_cellset_subproblem(DIAGONAL3, out.grid, cell_mask(out.grid, ()), 3) == ()
 
 
 def test_subproblem_disjoint_and_conflicting():
@@ -303,14 +294,14 @@ def test_subproblem_disjoint_and_conflicting():
         for c in range(out.grid.n_cols)
         for r in range(out.grid.n_rows)
     )
-    assert solve_cellset_subproblem(DIAGONAL3, out.grid, every, 3) == (0, 1, 2)
+    assert solve_cellset_subproblem(DIAGONAL3, out.grid, cell_mask(out.grid, every), 3) == (0, 1, 2)
     clique = _inst((0, 0, 4, 4), (1, 1, 5, 5), (2, 2, 6, 6))
     outc = build_grid(clique, 4)
     if outc.is_grid:
         allc = frozenset(
             (c, r) for c in range(outc.grid.n_cols) for r in range(outc.grid.n_rows)
         )
-        sol = solve_cellset_subproblem(clique, outc.grid, allc, 3)
+        sol = solve_cellset_subproblem(clique, outc.grid, cell_mask(outc.grid, allc), 3)
         assert len(sol) == 1
 
 
@@ -339,7 +330,7 @@ def test_pas_single_rect():
 
 
 def test_pas_stack_pair():
-    res = pas_misr(STACK2, 2, 0.5, c=2, b=2)
+    res = pas_misr(STACK2, 2, 0.5, c=2)
     assert res.positive and set(res.selected) == {0, 1}
 
 
@@ -354,16 +345,15 @@ def test_pas_theory_knobs_sound(misr_corpus6):
 
 
 def test_theory_knob_mapping():
-    c, b = theory_knobs(0.5)
-    assert c == b == 256
-    assert theory_knobs(Fraction(1, 2)) == (256, 256)
-    assert theory_knobs(0.7) == (18, 18)  # ceil((10/7)^8), read as 7/10
+    assert theory_cap(0.5) == 256
+    assert theory_cap(Fraction(1, 2)) == 256
+    assert theory_cap(0.7) == 18  # ceil((10/7)^8), read as 7/10
     with pytest.raises(ValueError):
-        theory_knobs(0)
+        theory_cap(0)
 
 
 def test_pas_epsilon_is_exact():
-    res = pas_misr(DIAGONAL3, 10, 0.7, c=1, b=1)
+    res = pas_misr(DIAGONAL3, 10, 0.7, c=1)
     assert res.metadata["epsilon"] == Fraction(7, 10)
     assert res.metadata["threshold"] == 3  # ceil(3/10 * 10); a float eps gives 4
     assert "float(" not in Path(misr.__file__).read_text()
@@ -379,9 +369,9 @@ def _cellset_referee(inst, grid, k, c, b):
     """
     sets = []
     for cs in enumerate_cell_sets(grid, b):
-        value = len(solve_cellset_subproblem(inst, grid, cs, c))
+        mask = cell_mask(grid, cs.cells)
+        value = len(solve_cellset_subproblem(inst, grid, mask, c))
         if value:
-            mask = sum(1 << (col * grid.n_rows + row) for col, row in cs.cells)
             sets.append((len(cs.cells), mask, value))
     kept = []
     for _, mask, value in sorted(sets):
@@ -402,9 +392,10 @@ def _cellset_referee(inst, grid, k, c, b):
 
 
 def test_pas_decision_matches_block_union_family():
-    """The grown family decides as the paper's family does, b < c included."""
+    """The grown family, which has no block budget, decides as the paper's
+    family does for every budget b the referee is given, b < c included."""
     inst = normalize_instance(gen_misr(n=9, seed=8, span=10, max_side=7).instance)
-    assert pas_misr(inst, 4, Fraction(1, 2), c=2, b=1).positive  # OPT is 6
+    assert pas_misr(inst, 4, Fraction(1, 2), c=2).positive  # OPT is 6
     mismatches = []
     for n in range(6, 14):
         for seed in range(6):
@@ -416,7 +407,7 @@ def test_pas_decision_matches_block_union_family():
                 for c, b in ((2, 1), (3, 2), (2, 2), (3, 3)):
                     if (c, b) == (3, 3) and n > 9:
                         continue  # the referee alone takes about a minute at n = 10
-                    got = pas_misr(inst, k, Fraction(1, 2), c=c, b=b).best_total >= k
+                    got = pas_misr(inst, k, Fraction(1, 2), c=c).best_total >= k
                     if got != _cellset_referee(inst, out.grid, k, c, b):
                         mismatches.append((n, seed, k, c, b))
     assert not mismatches
@@ -516,7 +507,7 @@ def test_kernel_tiny_instance_preserves_optimum():
         inst = _inst(*rects)
         opt = mis_rectangles_exact(inst, MISR_BUDGET)
         k = len(opt)
-        ker = kernel_misr(inst, k, 0.5, c=max(k, 1), b=max(k, 1))
+        ker = kernel_misr(inst, k, 0.5, c=max(k, 1))
         sub = MisrInstance(tuple(inst.rects[i] for i in ker.indices))
         sub_opt = mis_rectangles_exact(sub, MISR_BUDGET)
         assert len(sub_opt) == k

@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from rectpas import oracles
-from rectpas.generators import gen_gknap_packed
-from rectpas.geometry import Item, MisrInstance, Packing, Placement, validate_packing
+from rectpas.generators import gen_gknap_packed, gen_misr
+from rectpas.geometry import Item, MisrInstance, Packing, Placement, normalize_instance, validate_packing
 from rectpas.oracles import (
     BudgetExceededError,
     OracleBudget,
@@ -38,6 +38,37 @@ def test_mis_matches_subset_scan():
             rects.append((x1, y1, x1 + rng.randrange(1, 5), y1 + rng.randrange(1, 5)))
         inst = MisrInstance.from_coords(rects)
         assert len(mis_rectangles_exact(inst)) == len(mis_rectangles_scan(inst))
+
+
+# The exact tuples on the normalized bench-shaped instances
+# gen_misr(n=22, seed=j, span=16, max_side=9), j = 0..13. The benchmark
+# derives each instance's --cap-c from structured_solution on these very
+# sets, so a change of tie-break would silently change its operations.
+MIS_BENCH_TUPLES = [
+    (0, 2, 4, 6, 7, 9, 14, 18),
+    (0, 2, 5, 6, 8, 9, 11, 13),
+    (0, 1, 2, 4, 6, 9, 10, 14, 15),
+    (2, 5, 12, 13, 14, 19, 20),
+    (1, 3, 5, 6, 8, 9, 15, 19, 20),
+    (4, 5, 6, 7, 8, 9, 14, 19, 21),
+    (1, 3, 4, 5, 11, 14, 15, 20),
+    (0, 2, 3, 5, 6, 7, 8, 11, 12),
+    (1, 3, 5, 6, 8, 10, 12, 17, 19),
+    (1, 2, 3, 7, 8, 11, 12, 13, 17, 21),
+    (1, 2, 4, 5, 16, 17, 18, 19),
+    (1, 2, 3, 7, 9, 11, 13, 14, 15, 16, 18),
+    (4, 5, 7, 8, 9, 11, 15),
+    (0, 3, 4, 5, 6, 7, 12, 18),
+]
+
+
+def test_mis_exact_tie_break_on_bench_instances():
+    budget = OracleBudget(max_items=45, max_solution_size=12)
+    got = [
+        mis_rectangles_exact(normalize_instance(gen_misr(n=22, seed=j, span=16, max_side=9).instance), budget)
+        for j in range(len(MIS_BENCH_TUPLES))
+    ]
+    assert got == MIS_BENCH_TUPLES
 
 
 def test_mis_budget_guard():
