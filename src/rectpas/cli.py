@@ -72,7 +72,7 @@ def _build_parser() -> _Parser:
     s.add_argument("--eps", type=_epsilon, default=Fraction(1, 2))
     s.add_argument("--cap-c", type=int, default=None)
     s.add_argument("--ktilde", type=int, default=None)
-    s.add_argument("--budget", type=float, default=None, help="time budget in seconds")
+    s.add_argument("--budget", type=float, default=None, help="time budget in seconds for the whole search")
     s.add_argument("--out", type=Path, default=None)
 
     kn = sub.add_parser("kernel", help="compute an approximate kernel")
@@ -150,10 +150,15 @@ def _cmd_gen(args) -> int:
     return EXIT_OK
 
 
+# The most items one packing probe of a 2dkr solve may hold: the subset
+# probes grow exponentially with it.
+MAX_PROBE_ITEMS = 6
+
+
 def _budget(args, n: int) -> oracles.OracleBudget:
     return oracles.OracleBudget(
         max_items=max(n, 1),
-        max_solution_size=max(args.k, 8),
+        max_solution_size=MAX_PROBE_ITEMS,
         time_limit=args.budget,
     )
 

@@ -49,10 +49,6 @@ class Rect:
     def height(self) -> int:
         return self.y2 - self.y1
 
-    def contains_point(self, x: Coord, y: Coord) -> bool:
-        """True iff (x, y) lies strictly inside the rectangle."""
-        return self.x1 < x < self.x2 and self.y1 < y < self.y2
-
 
 def open_overlap(a1: Coord, a2: Coord, b1: Coord, b2: Coord) -> bool:
     """True iff the open intervals (a1, a2) and (b1, b2) intersect."""

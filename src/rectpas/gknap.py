@@ -40,10 +40,6 @@ class StripNotFreedError(RuntimeError):
     """A strip-freeing post-condition failed; never silently accepted."""
 
 
-class SearchLimitError(ValueError):
-    """The requested exhaustive search exceeds the configured limit."""
-
-
 # ---------------------------------------------------------------------------
 # Height-band classification
 
@@ -668,7 +664,6 @@ def solve_restricted(
     instance: GknapInstance,
     k_prime: int,
     k_tilde: int,
-    search_limit: int = 6,
     budget: OracleBudget = DEFAULT_BUDGET,
 ) -> RestrictedResult:
     """Prune to the kernel, then enumerate k'-subsets for exact packability.
@@ -676,12 +671,10 @@ def solve_restricted(
     Subsets are probed in lexicographic order against the full square
     knapsack; exhausting them proves that not even the restricted knapsack
     admits k' items, because a restricted packing could be rounded into the
-    full square using only kernel items.
+    full square using only kernel items. A k' above
+    ``budget.max_solution_size`` raises ``BudgetExceededError`` before the
+    first probe.
     """
-    if k_prime > search_limit:
-        raise SearchLimitError(
-            f"k'={k_prime} exceeds the exhaustive search limit {search_limit}"
-        )
     kernel = prune_to_kernel(instance, max(k_prime, 1), k_tilde)
     N = instance.N
     found = first_packable_subset(
@@ -717,7 +710,6 @@ def pas_2dkr(
     k: int,
     epsilon: Fraction | float,
     k_tilde: Optional[int] = None,
-    search_limit: int = 6,
     budget: OracleBudget = DEFAULT_BUDGET,
 ) -> Pas2dkrResult:
     """PAS for the rotating knapsack: pack ceil((1-eps)k) items or assert.
@@ -743,7 +735,7 @@ def pas_2dkr(
     if instance.n < k:
         meta["branch"] = "too-few-items"
         return Pas2dkrResult(None, True, meta)
-    res = solve_restricted(instance, k_prime, kt, search_limit, budget)
+    res = solve_restricted(instance, k_prime, kt, budget)
     meta["branch"] = "restricted-enumeration"
     meta["kernel_size"] = res.kernel.size
     if res.feasible:

@@ -19,11 +19,9 @@ from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 from .geometry import (
     Item,
     MisrInstance,
-    Packing,
     Placement,
     conflict_masks,
     validate_misr_solution,
-    validate_packing,
 )
 
 if TYPE_CHECKING:
@@ -210,7 +208,7 @@ def packing_feasible_exact(
     H,
     rotations: bool = True,
     budget: OracleBudget = DEFAULT_BUDGET,
-    verify: bool = False,
+    clock: Optional[_Clock] = None,
 ) -> Optional[tuple[Placement, ...]]:
     """Complete feasibility search for packing all given items into W x H.
 
@@ -245,22 +243,19 @@ def packing_feasible_exact(
     node is a packing, whose items covering an x stack in [0, H), so its
     x-projection passes the check: only subtrees without a packing are
     cut, and the first packing found is that of the 2D search alone. The
-    checks tick the probe's clock, so they share its time budget.
+    checks tick the same clock as the search.
 
-    With ``verify`` a returned packing is re-validated and, for tiny inputs,
-    a "none" answer is cross-checked against the full coordinate scan.
+    The clock is ``budget``'s, started here, unless a caller that runs
+    many probes under one deadline hands in its own.
     """
     m = len(items)
     if m > budget.max_solution_size:
         raise BudgetExceededError(f"{m} items exceed budget {budget.max_solution_size}")
-    result = None
     if m == 0:
-        result = ()
-    elif sum(it.w * it.h for it in items) <= W * H:
-        result = _packing_search(items, W, H, rotations, budget.start_clock())
-    if verify:
-        _verify_packing_answer(items, W, H, rotations, result)
-    return result
+        return ()
+    if sum(it.w * it.h for it in items) > W * H:
+        return None
+    return _packing_search(items, W, H, rotations, budget.start_clock() if clock is None else clock)
 
 
 def _choice_sums(pairs: Sequence[tuple[int, int]], limit: int) -> list[int]:
@@ -426,22 +421,6 @@ def packing_feasible_scan(
     return None
 
 
-def _verify_packing_answer(items, W, H, rotations, result) -> None:
-    if result is not None:
-        fake_n = max(W, H if isinstance(H, int) else W)
-        report = validate_packing(Packing(fake_n, result), items)
-        box_ok = all(
-            pl.x >= 0 and pl.y >= 0 and pl.box(items[pl.item])[2] <= W and pl.box(items[pl.item])[3] <= H
-            for pl in result
-        )
-        overlap_free = not any(v.kind == "overlap" for v in report.violations)
-        if not (box_ok and overlap_free):
-            raise AssertionError("oracle produced an invalid packing")
-    elif len(items) <= 4 and W <= 8 and isinstance(H, int) and H <= 8:
-        if packing_feasible_scan(items, W, H, rotations) is not None:
-            raise AssertionError("canonical search missed a feasible packing")
-
-
 # ---------------------------------------------------------------------------
 # Exact cardinality geometric knapsack
 
@@ -459,8 +438,6 @@ def knapsack_exact(
     Probes subsets by decreasing size, from the most items whose smallest
     areas fit the board; see :func:`first_packable_subset`.
     """
-    if k > budget.max_solution_size:
-        raise BudgetExceededError(f"k={k} exceeds budget {budget.max_solution_size}")
     cap = bisect_right(list(accumulate(sorted(it.w * it.h for it in items))), W * H)
     sizes = range(min(k, cap), 0, -1)
     return first_packable_subset(items, range(len(items)), sizes, W, H, rotations, budget) or ((), ())
@@ -473,13 +450,19 @@ def first_packable_subset(
     """The first subset of ``indices`` that packs into W x H, with its packing.
 
     Sizes come in the given order, subsets of a size in lexicographic
-    order, each probed with :func:`packing_feasible_exact` and one tick of
-    a clock shared by the loop. Placements name the original indices.
+    order, each probed with :func:`packing_feasible_exact`. A size above
+    ``budget.max_solution_size`` raises before the first probe. The loop
+    and every probe tick one clock, so ``budget.time_limit`` bounds the
+    whole run. Placements name the original indices.
     """
+    sizes = tuple(sizes)
+    largest = max(sizes, default=0)
+    if largest > budget.max_solution_size:
+        raise BudgetExceededError(f"{largest} items exceed budget {budget.max_solution_size}")
     clock = budget.start_clock()
     for subset in chain.from_iterable(combinations(indices, s) for s in sizes):
         clock.tick()
-        placed = packing_feasible_exact([items[i] for i in subset], W, H, rotations, budget)
+        placed = packing_feasible_exact([items[i] for i in subset], W, H, rotations, budget, clock)
         if placed is not None:
             return subset, tuple(Placement(subset[p.item], p.x, p.y, p.rotated) for p in placed)
     return None

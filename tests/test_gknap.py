@@ -12,7 +12,6 @@ from rectpas.geometry import (
     validate_packing,
 )
 from rectpas.gknap import (
-    SearchLimitError,
     build_visibility_graph,
     classify_items,
     default_k_floor,
@@ -26,7 +25,8 @@ from rectpas.gknap import (
     solve_restricted,
     theory_k_tilde,
 )
-from rectpas.oracles import knapsack_exact
+from rectpas import oracles
+from rectpas.oracles import BudgetExceededError, OracleBudget, knapsack_exact
 from rectpas.planar import check_drawing_planar
 from tests.conftest import GKNAP_BUDGET, chunky_gknap
 
@@ -376,10 +376,17 @@ def test_solve_restricted_two_full_squares():
     assert not res.feasible
 
 
-def test_solve_restricted_limit():
+def test_solve_restricted_limit(monkeypatch):
     inst = GknapInstance(10, tuple(Item(1, 1) for _ in range(8)))
-    with pytest.raises(SearchLimitError):
-        solve_restricted(inst, 7, 10)
+    probes = []
+    monkeypatch.setattr(oracles, "packing_feasible_exact", lambda *args: probes.append(args))
+    with pytest.raises(BudgetExceededError, match="7 items exceed budget 6"):
+        solve_restricted(inst, 7, 10, OracleBudget(max_solution_size=6))
+    assert probes == []
+    monkeypatch.undo()
+    # The default budget allows probes of up to 8 items.
+    res = pas_2dkr(inst, 8, Fraction(1, 8), k_tilde=10)
+    assert res.metadata["k_prime"] == 7 and res.packing.size == 7
 
 
 def test_solve_restricted_agrees_with_restricted_oracle():

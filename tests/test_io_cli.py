@@ -193,8 +193,9 @@ def test_cli_2dkr_pas_exit_codes(tmp_path):
 
 def test_cli_2dkr_budget_overrun_is_an_error(tmp_path, capsys):
     # 14 distinct items, each longer than half the board on both sides: no
-    # two fit together, so both solvers probe all 364 triples, more subsets than
-    # one clock check apart, and overrun a budget of a microsecond.
+    # two fit together, so both solvers probe all 364 triples. The subset
+    # loop and its probes tick one clock, which reads the time every 256
+    # ticks, so the run overruns a budget of a microsecond.
     items = tuple(Item(11 + i % 7, 11 + i // 7) for i in range(14))
     g = fileio.save(fileio.InstanceFile("gknap", GknapInstance(20, items)), tmp_path / "g.json")
     for algorithm in ("2dkr-exact", "2dkr-pas"):
@@ -204,6 +205,22 @@ def test_cli_2dkr_budget_overrun_is_an_error(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and "budget" in err
         assert cli_dispatch(argv + ["--out", str(tmp_path / "s.json")]) == 2
+
+
+def test_cli_2dkr_pas_above_the_probe_bound_is_an_error(tmp_path, capsys):
+    # 12 items, so the PAS does not settle k = 12 by counting; k' = 7 is one
+    # more item than the CLI lets a probe hold.
+    g, s = tmp_path / "g.json", tmp_path / "s.json"
+    assert cli_dispatch(["gen", "gknap", "--n", "12", "--N", "30", "--out", str(g)]) == 0
+    capsys.readouterr()
+    assert cli_dispatch(["solve", "2dkr-pas", str(g), "--k", "12", "--eps", "0.45", "--out", str(s)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: 7 items exceed budget {cli.MAX_PROBE_ITEMS}\n"
+    assert not s.exists()
+    # The exact solve has the same bound: seven unit squares would fit.
+    u = fileio.save(fileio.InstanceFile("gknap", GknapInstance(10, (Item(1, 1),) * 8)), tmp_path / "u.json")
+    assert cli_dispatch(["solve", "2dkr-exact", str(u), "--k", "7", "--out", str(s)]) == 1
+    assert capsys.readouterr().err == f"error: 7 items exceed budget {cli.MAX_PROBE_ITEMS}\n"
 
 
 def test_cli_verify_rejects_tampering(tmp_path):

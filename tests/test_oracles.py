@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -115,7 +116,7 @@ def test_packing_agrees_with_scan():
             Item(rng.randrange(1, W + 1), rng.randrange(1, H + 1))
             for _ in range(rng.randrange(1, 5))
         ]
-        mine = packing_feasible_exact(items, W, H, verify=True)
+        mine = packing_feasible_exact(items, W, H)
         ref = packing_feasible_scan(items, W, H)
         assert (mine is None) == (ref is None)
 
@@ -237,6 +238,43 @@ def test_knapsack_unit_squares():
     subset, placed = knapsack_exact(items, 5, 5, 5)
     assert len(subset) == 5
     assert validate_packing(Packing(5, placed), items).ok
+
+
+def test_knapsack_bounds_the_sizes_it_probes(monkeypatch):
+    # k is above the size bound, but only four of the squares fit by area,
+    # so no probe holds more than four items.
+    items = [Item(5, 5)] * 6
+    budget = OracleBudget(max_solution_size=4)
+    subset, placed = knapsack_exact(items, 10, 10, 10, True, budget)
+    assert subset == (0, 1, 2, 3)
+    assert validate_packing(Packing(10, placed), items).ok
+    # On a larger board all six fit by area: it raises before any probe.
+    probes = []
+    monkeypatch.setattr(oracles, "packing_feasible_exact", lambda *args: probes.append(args))
+    with pytest.raises(BudgetExceededError, match="6 items exceed budget 4"):
+        knapsack_exact(items, 15, 10, 10, True, budget)
+    assert probes == []
+
+
+def test_probes_share_the_run_clock(monkeypatch):
+    # No two of these squares fit together, so each subset ticks the clock
+    # at least twice: once in the subset loop and once at the root of its
+    # probe. With one clock for the run, its 256th tick, the first time it
+    # reads the time, comes within 128 subsets. A clock per probe would
+    # leave the deadline to the loop's own 256th tick, after 255 probes.
+    now = iter([0.0])
+    monkeypatch.setattr(oracles, "time", SimpleNamespace(monotonic=lambda: next(now, 2.0)))
+    probes = []
+    probe = oracles.packing_feasible_exact
+
+    def counting(*args):
+        probes.append(args)
+        return probe(*args)
+
+    monkeypatch.setattr(oracles, "packing_feasible_exact", counting)
+    with pytest.raises(BudgetExceededError, match="time budget"):
+        knapsack_exact([Item(11, 11)] * 14, 20, 20, 3, True, OracleBudget(time_limit=1))
+    assert 0 < len(probes) <= 128
 
 
 def test_knapsack_matches_subset_scan():
