@@ -176,7 +176,7 @@ def _cmd_solve(args) -> int:
             if len(selected) < args.k:
                 prov["assertions"].append(f"OPT < {args.k}")
         else:
-            result = misr.pas_misr(inst, args.k, args.eps, args.cap_c)
+            result = misr.pas_misr(inst, args.k, args.eps, args.cap_c, _budget(args, inst.n))
             prov["knobs"] = {"c": result.metadata["c"]}
             selected = result.selected or ()
             if not result.positive:

@@ -13,6 +13,7 @@ x - 1/2 is the even/odd integer 2x - 1 and all tests stay exact.
 
 from __future__ import annotations
 
+import time
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -21,6 +22,7 @@ from math import ceil
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .geometry import MisrInstance, KernelReport, Rect, as_epsilon, conflict_masks, validate_misr_solution
+from .oracles import BudgetExceededError, OracleBudget, _Clock
 from .planar import (
     Box,
     Division,
@@ -515,7 +517,9 @@ def _cell_list(mask: int) -> list[int]:
     return [i for i in range((mask & -mask).bit_length() - 1, mask.bit_length()) if mask >> i & 1]
 
 
-def _candidate_family(inst: MisrInstance, grid: Grid, c: int) -> list[_Candidate]:
+def _candidate_family(
+    inst: MisrInstance, grid: Grid, c: int, clock: Optional[_Clock] = None
+) -> list[_Candidate]:
     """Footprints of cell-connected independent subsets, solved under cap c.
 
     Every union of blocks worth value v contains an independent subset of v
@@ -528,7 +532,7 @@ def _candidate_family(inst: MisrInstance, grid: Grid, c: int) -> list[_Candidate
     Each distinct footprint, in order of discovery, is solved once through
     ``solve_cellset_subproblem``. The family is sorted by (-value, ascending
     cell list, solution); a cell's bit index orders cells as (col, row)
-    does.
+    does. ``clock``, if given, ticks once per footprint solved.
     """
     limit = min(c, inst.n)
     if limit <= 0:
@@ -554,6 +558,8 @@ def _candidate_family(inst: MisrInstance, grid: Grid, c: int) -> list[_Candidate
 
     out = []
     for cells in footprints:
+        if clock is not None:
+            clock.tick()
         sol = solve_cellset_subproblem(inst, grid, cells, c)
         if sol:
             out.append(_Candidate(cells, sol))
@@ -561,7 +567,7 @@ def _candidate_family(inst: MisrInstance, grid: Grid, c: int) -> list[_Candidate
 
 
 def _max_disjoint_collection(
-    cands: Sequence[_Candidate], k: int
+    cands: Sequence[_Candidate], k: int, clock: Optional[_Clock] = None
 ) -> tuple[int, tuple[int, ...], int]:
     """Exact weighted set packing over cell-disjoint candidates.
 
@@ -583,6 +589,11 @@ def _max_disjoint_collection(
     compared already, and the best only improves, so it can never win
     there. The search takes one recursive frame per free candidate on the
     skip chain.
+
+    ``clock``, if given, lends its deadline, which every 256th frame reads
+    inline rather than through ``_Clock.tick``: the search runs close to
+    the recursion limit, and one more call per frame would lower the depth
+    it can reach.
     """
     values = [cd.value for cd in cands]
     if any(a < b for a, b in zip(values, values[1:])):
@@ -600,10 +611,13 @@ def _max_disjoint_collection(
     best_total = 0
     best_sol: tuple[int, ...] = ()
     nodes = 0
+    deadline = None if clock is None else clock.deadline
 
     def rec(free: int, picks: int, total: int, sol: tuple[int, ...]) -> None:
         nonlocal best_total, best_sol, nodes
         nodes += 1
+        if deadline is not None and nodes % 256 == 0 and time.monotonic() > deadline:
+            raise BudgetExceededError("oracle time budget exceeded")
         if not free or picks >= k:
             return
         low = free & -free
@@ -648,6 +662,7 @@ def pas_misr(
     k: int,
     epsilon: Fraction | float,
     c: Optional[int] = None,
+    budget: Optional[OracleBudget] = None,
 ) -> PasMisrResult:
     """Parameterized approximation run for a target solution size k.
 
@@ -659,6 +674,10 @@ def pas_misr(
     anything less raises the negative assertion, which is sound exactly
     when the candidate family captures a full structured solution, e.g.
     under the theory knob mapping at desk scale.
+
+    ``budget.time_limit``, if set, is one deadline for the family's
+    subproblems and the set packing; an overrun raises
+    ``BudgetExceededError``. The budget's size bounds do not apply here.
     """
     eps = as_epsilon(epsilon)
     cap_c = theory_cap(eps) if c is None else c
@@ -676,8 +695,9 @@ def pas_misr(
         meta["branch"] = "grid-witness"
         return PasMisrResult(outcome.witness, False, k, meta)
     grid = outcome.grid
-    cands = _candidate_family(inst, grid, cap_c)
-    best_total, best_sol, nodes = _max_disjoint_collection(cands, k)
+    clock = None if budget is None else budget.start_clock()
+    cands = _candidate_family(inst, grid, cap_c, clock)
+    best_total, best_sol, nodes = _max_disjoint_collection(cands, k, clock)
     meta["branch"] = "set-packing"
     meta["candidates"] = len(cands)
     meta["set_packing_nodes"] = nodes

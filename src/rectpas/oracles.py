@@ -13,7 +13,7 @@ from __future__ import annotations
 import time
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import accumulate, chain, combinations
+from itertools import accumulate, combinations
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from .geometry import (
@@ -229,7 +229,8 @@ def packing_feasible_exact(
     grows with the number of placed items and of canonical y values, not
     with the number of distinct coordinates on both axes at once. All
     comparisons are exact, so this holds for a ``Fraction`` H as well.
-    Items whose total area exceeds W * H get ``None`` without a search.
+    Items whose total area exceeds W * H get ``None`` without a search;
+    :func:`first_packable_subset` never builds such a probe.
 
     Before the 2D search and at its nodes, the items are projected onto x
     (Clautiaux, Carlier and Moukrim 2007): each unplaced item, in the same
@@ -243,7 +244,10 @@ def packing_feasible_exact(
     node is a packing, whose items covering an x stack in [0, H), so its
     x-projection passes the check: only subtrees without a packing are
     cut, and the first packing found is that of the 2D search alone. The
-    checks tick the same clock as the search.
+    checks tick the same clock as the search. The projection's own search
+    keeps the load over x as a step profile and hands each child its
+    parent's with one interval added (``_add_interval``), so a node costs
+    one pass over the steps rather than a rebuild from all placed items.
 
     The clock is ``budget``'s, started here, unless a caller that runs
     many probes under one deadline hands in its own.
@@ -327,50 +331,72 @@ def _packing_search(items, W, H, rotations, clock):
     return None
 
 
+def _add_interval(profile, x1, x2, h):
+    """The load profile ``profile`` with h added over [x1, x2).
+
+    A profile is the sorted, contiguous steps (a, b, load) that cover
+    [0, W); [x1, x2) must lie in it. Its steps that [x1, x2) overlaps
+    split at x1 and x2, and the overlapped parts gain h.
+    """
+    out = []
+    for a, b, load in profile:
+        if b <= x1 or x2 <= a:
+            out.append((a, b, load))
+            continue
+        if a < x1:
+            out.append((a, x1, load))
+        out.append((max(a, x1), min(b, x2), load + h))
+        if x2 < b:
+            out.append((x2, b, load))
+    return out
+
+
 def _x_projection_fits(per_item, xs_all, W, H, clock, placed=()):
     """An x-projection that completes ``placed``, or ``None``.
 
-    ``placed`` holds the intervals (x, x + w, h) of the first items in
-    search order. Each further item t gets an orientation and an x from
-    ``xs_all[t]`` under the search's cut, such that at every x the heights
-    of the intervals [x, x + w) covering it sum to at most H. The placed
-    intervals cut the axis into steps of constant load; a step whose load
-    leaves less than h forbids the x values in (a - w, b), a contiguous
-    run of the sorted xs, so the free x values are one bitset as in the 2D
-    search. The answer lists the intervals of all items, in search order.
+    ``placed`` holds the intervals (x, x + w, h) in [0, W) of the first
+    items in search order. Each further item t gets an orientation and an
+    x from ``xs_all[t]`` under the search's cut, such that at every x the
+    heights of the intervals [x, x + w) covering it sum to at most H. The
+    intervals placed so far cut [0, W) into steps of constant load, the
+    profile (see ``_add_interval``); it is built once from ``placed`` and
+    each child gets its parent's with its own interval added. A step whose
+    load leaves less than h forbids the x values in (a - w, b), a
+    contiguous run of the sorted xs, so the free x values are one bitset as
+    in the 2D search. The answer lists the intervals of all items, in
+    search order.
     """
     m = len(per_item)
     placed = list(placed)
+    root = [(0, W, 0)]
+    for x1, x2, h in placed:
+        root = _add_interval(root, x1, x2, h)
 
-    def rec(t: int) -> bool:
+    def rec(t: int, profile) -> bool:
         clock.tick()
         if t == m:
             return True
         xs = xs_all[t]
-        cuts = sorted({p for x1, x2, _ in placed for p in (x1, x2)})
-        steps = [
-            (a, b, sum(h for x1, x2, h in placed if x1 <= a < x2))
-            for a, b in zip(cuts, cuts[1:])
-        ]
         for w, h, _ in per_item[t]:
-            if h > H:
+            room = H - h
+            if room < 0:
                 continue
             x_cut = W - w if t else (W - w) // 2
             free = (1 << bisect_right(xs, x_cut)) - 1
-            for a, b, load in steps:
-                if load + h > H:
+            for a, b, load in profile:
+                if load > room:
                     free &= ~((1 << bisect_left(xs, b)) - (1 << bisect_right(xs, a - w)))
             while free:
                 low = free & -free
                 free ^= low
                 x = xs[low.bit_length() - 1]
                 placed.append((x, x + w, h))
-                if rec(t + 1):
+                if rec(t + 1, _add_interval(profile, x, x + w, h)):
                     return True
                 placed.pop()
         return False
 
-    return tuple(placed) if rec(len(placed)) else None
+    return tuple(placed) if rec(len(placed), root) else None
 
 
 def packing_feasible_scan(
@@ -450,22 +476,57 @@ def first_packable_subset(
     """The first subset of ``indices`` that packs into W x H, with its packing.
 
     Sizes come in the given order, subsets of a size in lexicographic
-    order, each probed with :func:`packing_feasible_exact`. A size above
-    ``budget.max_solution_size`` raises before the first probe. The loop
-    and every probe tick one clock, so ``budget.time_limit`` bounds the
-    whole run. Placements name the original indices.
+    order, each probed with :func:`packing_feasible_exact`. Subsets whose
+    area exceeds W * H are skipped without being built (see
+    ``_combinations_within``); the probe would answer ``None`` for each, so
+    the first packable subset is the same. A size above
+    ``budget.max_solution_size`` raises before the first probe. The
+    enumeration ticks one clock per prefix it visits and every probe ticks
+    the same clock, so ``budget.time_limit`` bounds the whole run.
+    Placements name the original indices.
     """
     sizes = tuple(sizes)
     largest = max(sizes, default=0)
     if largest > budget.max_solution_size:
         raise BudgetExceededError(f"{largest} items exceed budget {budget.max_solution_size}")
     clock = budget.start_clock()
-    for subset in chain.from_iterable(combinations(indices, s) for s in sizes):
-        clock.tick()
-        placed = packing_feasible_exact([items[i] for i in subset], W, H, rotations, budget, clock)
-        if placed is not None:
-            return subset, tuple(Placement(subset[p.item], p.x, p.y, p.rotated) for p in placed)
+    areas = [items[i].w * items[i].h for i in indices]
+    for size in sizes:
+        for picks in _combinations_within(areas, size, W * H, clock):
+            subset = tuple(indices[p] for p in picks)
+            placed = packing_feasible_exact([items[i] for i in subset], W, H, rotations, budget, clock)
+            if placed is not None:
+                return subset, tuple(Placement(subset[p.item], p.x, p.y, p.rotated) for p in placed)
     return None
+
+
+def _combinations_within(areas: Sequence[int], size: int, limit, clock: _Clock) -> Iterable[tuple[int, ...]]:
+    """The ``size``-combinations of positions into ``areas`` whose areas sum
+    to at most ``limit``, in the lexicographic order of ``combinations``.
+
+    A prefix is dropped, with every combination that extends it, when its
+    sum plus the least sum its remaining picks can add, the smallest areas
+    after its last position, exceeds ``limit``. The clock ticks once per
+    prefix visited, the combinations themselves included.
+    """
+    n = len(areas)
+    # least[p][r]: the sum of the r smallest areas at positions p and later.
+    least = [list(accumulate(sorted(areas[p:]), initial=0)) for p in range(n + 1)]
+    picks: list[int] = []
+
+    def rec(start: int, total) -> Iterable[tuple[int, ...]]:
+        clock.tick()
+        rest = size - len(picks)
+        if not rest:
+            yield tuple(picks)
+            return
+        for p in range(start, n - rest + 1):
+            if total + areas[p] + least[p + 1][rest - 1] <= limit:
+                picks.append(p)
+                yield from rec(p + 1, total + areas[p])
+                picks.pop()
+
+    yield from rec(0, 0)
 
 
 # ---------------------------------------------------------------------------

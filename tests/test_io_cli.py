@@ -193,11 +193,12 @@ def test_cli_2dkr_pas_exit_codes(tmp_path):
 
 def test_cli_2dkr_budget_overrun_is_an_error(tmp_path, capsys):
     # 14 distinct items, each longer than half the board on both sides: no
-    # two fit together, so both solvers probe all 364 triples. The subset
-    # loop and its probes tick one clock, which reads the time every 256
-    # ticks, so the run overruns a budget of a microsecond.
-    items = tuple(Item(11 + i % 7, 11 + i // 7) for i in range(14))
-    g = fileio.save(fileio.InstanceFile("gknap", GknapInstance(20, items)), tmp_path / "g.json")
+    # two fit together, so both solvers probe all 91 triples that fit by
+    # area. The subset enumeration and its probes tick one clock, which
+    # reads the time every 256 ticks, so the run overruns a budget of a
+    # microsecond.
+    items = tuple(Item(11 + i % 5, 11 + i // 5) for i in range(14))
+    g = fileio.save(fileio.InstanceFile("gknap", GknapInstance(21, items)), tmp_path / "g.json")
     for algorithm in ("2dkr-exact", "2dkr-pas"):
         argv = ["solve", algorithm, str(g), "--k", "3", "--eps", "1/10", "--ktilde", "100"]
         capsys.readouterr()
@@ -205,6 +206,23 @@ def test_cli_2dkr_budget_overrun_is_an_error(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and "budget" in err
         assert cli_dispatch(argv + ["--out", str(tmp_path / "s.json")]) == 2
+
+
+def test_cli_misr_pas_budget_overrun_is_an_error(tmp_path, capsys):
+    # The footprints of the family and the set-packing frames tick one
+    # clock, which reads the time every 256 ticks. A generous budget
+    # writes the same bytes as none.
+    i = tmp_path / "i.json"
+    assert cli_dispatch(["gen", "misr", "--n", "22", "--seed", "5", "--span", "16", "--out", str(i)]) == 0
+    argv = ["solve", "misr-pas", str(i), "--k", "6", "--cap-c", "6"]
+    capsys.readouterr()
+    assert cli_dispatch(argv + ["--budget", "0.000001", "--out", str(tmp_path / "s.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "budget" in err
+    assert not (tmp_path / "s.json").exists()
+    assert cli_dispatch(argv + ["--out", str(tmp_path / "a.json")]) == 0
+    assert cli_dispatch(argv + ["--budget", "3600", "--out", str(tmp_path / "b.json")]) == 0
+    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
 
 def test_cli_2dkr_pas_above_the_probe_bound_is_an_error(tmp_path, capsys):

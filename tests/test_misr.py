@@ -24,7 +24,15 @@ from rectpas.misr import (
     structured_solution,
     theory_cap,
 )
-from rectpas.oracles import CellSet, _block_cells, all_blocks, enumerate_cell_sets, mis_rectangles_exact
+from rectpas.oracles import (
+    BudgetExceededError,
+    CellSet,
+    OracleBudget,
+    _block_cells,
+    all_blocks,
+    enumerate_cell_sets,
+    mis_rectangles_exact,
+)
 from rectpas.planar import apply_separator, check_drawing_planar
 from tests.conftest import MISR_BUDGET
 
@@ -478,6 +486,23 @@ def test_set_packing_matches_bruteforce():
         k = rng.randrange(1, 6)
         total, sol, _ = misr._max_disjoint_collection(cands, k)
         assert (total, sol) == _set_packing_referee(cands, k), (cands, k)
+
+
+def test_set_packing_reads_its_deadline_every_256_frames():
+    """n pairwise disjoint candidates take 2n + 1 frames. Past its deadline,
+    a clock stops 128 of them (257 frames) at frame 256, while 127 of them
+    (255 frames) end as they do without a clock."""
+    expired = OracleBudget(time_limit=1).start_clock()
+    expired.deadline = float("-inf")
+    for n in (127, 128):
+        cands = [misr._Candidate(1 << i, (i,)) for i in range(n)]
+        found = misr._max_disjoint_collection(cands, n)
+        assert found == (n, tuple(range(n)), 2 * n + 1)
+        if n == 127:
+            assert misr._max_disjoint_collection(cands, n, expired) == found
+        else:
+            with pytest.raises(BudgetExceededError, match="time budget"):
+                misr._max_disjoint_collection(cands, n, expired)
 
 
 def test_set_packing_node_count():

@@ -1,5 +1,7 @@
 import random
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from itertools import combinations
 from types import SimpleNamespace
 
 import pytest
@@ -293,6 +295,42 @@ def test_knapsack_matches_subset_scan():
         assert len(subset) == best
 
 
+def test_first_packable_subset_skips_over_area_subsets(monkeypatch):
+    # The pruned enumeration hands the probe exactly the subsets within the
+    # board's area, in the order of an unpruned combinations loop, and so
+    # finds the same first packable subset with the same packing.
+    rng = random.Random(29)
+    probe = oracles.packing_feasible_exact
+    for trial in range(40):
+        W = rng.choice([10, 12])
+        H = rng.choice([W, W - Fraction(1, 2)])
+        items = [Item(rng.randint(2, 8), rng.randint(2, 8)) for _ in range(10)]
+        indices = sorted(rng.sample(range(10), rng.randint(4, 9)))
+        sizes = rng.choice([(4, 3, 2, 1), (3,), (5, 4)])
+        budget = OracleBudget(time_limit=3600)
+        expected, within = None, []
+        for subset in (c for s in sizes for c in combinations(indices, s)):
+            chosen = [items[i] for i in subset]
+            if sum(it.w * it.h for it in chosen) <= W * H:
+                within.append(subset)
+            placed = probe(chosen, W, H, True, budget)
+            if placed is not None:
+                expected = subset, tuple(Placement(subset[p.item], p.x, p.y, p.rotated) for p in placed)
+                break
+        probed = []
+
+        def counting(chosen, W_, H_, *args):
+            assert sum(it.w * it.h for it in chosen) <= W_ * H_
+            probed.append(chosen)
+            return probe(chosen, W_, H_, *args)
+
+        monkeypatch.setattr(oracles, "packing_feasible_exact", counting)
+        got = oracles.first_packable_subset(items, indices, sizes, W, H, True, budget)
+        monkeypatch.setattr(oracles, "packing_feasible_exact", probe)
+        assert got == expected, trial
+        assert probed == [[items[i] for i in subset] for subset in within], trial
+
+
 def test_mss_examples():
     assert mss_exact([2], 2, 1) == (2,)
     assert mss_exact([3, 5], 6, 2) == (3, 3)
@@ -359,6 +397,103 @@ def test_x_projection_ticks_the_probe_clock():
 
     with pytest.raises(BudgetExceededError):
         oracles._x_projection_fits([((1, 1, False),)], [[0]], 2, 2, Expired())
+
+
+def _x_projection_rebuilt(per_item, xs_all, W, H, clock, placed=()):
+    """Referee for ``_x_projection_fits``: rebuilds the load steps at every node.
+
+    Same nodes in the same order, but each frame cuts the axis at the
+    endpoints of all placed intervals and sums the heights over each step.
+    """
+    m = len(per_item)
+    placed = list(placed)
+
+    def rec(t):
+        clock.tick()
+        if t == m:
+            return True
+        xs = xs_all[t]
+        cuts = sorted({p for x1, x2, _ in placed for p in (x1, x2)})
+        steps = [(a, b, sum(h for x1, x2, h in placed if x1 <= a < x2)) for a, b in zip(cuts, cuts[1:])]
+        for w, h, _ in per_item[t]:
+            if h > H:
+                continue
+            x_cut = W - w if t else (W - w) // 2
+            free = (1 << bisect_right(xs, x_cut)) - 1
+            for a, b, load in steps:
+                if load + h > H:
+                    free &= ~((1 << bisect_left(xs, b)) - (1 << bisect_right(xs, a - w)))
+            while free:
+                low = free & -free
+                free ^= low
+                x = xs[low.bit_length() - 1]
+                placed.append((x, x + w, h))
+                if rec(t + 1):
+                    return True
+                placed.pop()
+        return False
+
+    return tuple(placed) if rec(len(placed)) else None
+
+
+def _relation(a, b):
+    """How interval ``a`` sits against interval ``b``."""
+    (a1, a2, _), (b1, b2, _) = a, b
+    if a2 == b1 or b2 == a1:
+        return "touch"
+    if a2 < b1 or b2 < a1:
+        return "gap"
+    if b1 <= a1 and a2 <= b2 or a1 <= b1 and b2 <= a2:
+        return "nest"
+    return "cross"
+
+
+def test_x_projection_matches_the_rebuilt_steps():
+    # The profile carried down the search gives the same answer and the
+    # same clock ticks as rebuilding the load steps at each node, whether
+    # the check starts at the root or below placed intervals in any
+    # arrangement.
+    rng = random.Random(53)
+    seen = set()
+    for trial in range(300):
+        items, W, H = _random_probe(rng, rng.choice([10, 24, 100]), 6, rng.choice([(4, 14), (7, 21)]))
+        rotations = rng.random() < 0.5
+        order = sorted(range(len(items)), key=lambda i: (-items[i].w * items[i].h, i))
+        per_item = [oracles._orientations(items[i], rotations) for i in order]
+        xs_all = [
+            oracles._choice_sums([(items[j].w, items[j].h) for j in order if j != i], W) for i in order
+        ]
+        placed = []
+        for t in range(rng.randint(0, len(items) - 1)):
+            w, h, _ = rng.choice(per_item[t])
+            x = rng.choice(xs_all[t] if rng.random() < 0.5 else range(W - w + 1))
+            placed.append((x, x + w, h))
+        for i, a in enumerate(placed):
+            seen.update(_relation(a, b) for b in placed[i + 1:])
+        if len(placed) > 1:
+            starts = sorted(x1 for x1, _, _ in placed)
+            if starts[0] < starts[1]:
+                seen.add("leftmost")
+            if starts[-2] < starts[-1]:
+                seen.add("rightmost")
+        budget = OracleBudget(time_limit=3600)
+        mine, ref = budget.start_clock(), budget.start_clock()
+        got = oracles._x_projection_fits(per_item, xs_all, W, H, mine, tuple(placed))
+        assert got == _x_projection_rebuilt(per_item, xs_all, W, H, ref, tuple(placed)), trial
+        assert mine.checks == ref.checks, trial
+        seen.add(("fits" if got is not None else "none", bool(placed), type(H).__name__))
+    assert {"touch", "gap", "nest", "cross", "leftmost", "rightmost"} <= seen
+    assert {(v, p, h) for v in ("fits", "none") for p in (False, True) for h in ("int", "Fraction")} <= seen
+
+
+def test_add_interval_splits_and_adds():
+    profile = oracles._add_interval([(0, 10, 0)], 2, 5, 3)
+    assert profile == [(0, 2, 0), (2, 5, 3), (5, 10, 0)]
+    profile = oracles._add_interval(profile, 4, 7, 2)
+    assert profile == [(0, 2, 0), (2, 4, 3), (4, 5, 5), (5, 7, 2), (7, 10, 0)]
+    assert oracles._add_interval(profile, 0, 10, 1) == [
+        (0, 2, 1), (2, 4, 4), (4, 5, 6), (5, 7, 3), (7, 10, 1)
+    ]
 
 
 def _random_probe(rng, W, max_items=5, sides=(7, 21)):
