@@ -432,19 +432,24 @@ def cell_mask(grid: Grid, cells: Iterable[tuple[int, int]]) -> int:
 
 # The last (inst, grid, index) built by ``_mask_index``. Holding the two
 # objects keeps them alive, so an identity test cannot hit on a reused id.
-_last_index: tuple[object, object, tuple[tuple[int, ...], ...]] = (None, None, ())
+_last_index: tuple[object, object, tuple] = (None, None, ())
 
 
-def _mask_index(inst: MisrInstance, grid: Grid) -> tuple[tuple[int, ...], ...]:
+def _mask_index(
+    inst: MisrInstance, grid: Grid
+) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], dict[int, int]]:
     """The span/conflict index of the MISR core, built once per (inst, grid).
 
     Per rectangle: its cell-span mask (see ``cell_mask``), and two masks over
     rectangle indices, bit j set when rectangle j shares a cell with it
     (``shares``) or overlaps it (``conflict``, from ``conflict_masks``).
     Overlapping open rectangles meet inside some cell, so every other
-    conflict is also a share. A one-slot cache hits when both arguments are
-    the very objects of the last call: comparing them by value would hash
-    every rectangle on each capped-MIS call.
+    conflict is also a share. The fourth entry is the capped-MIS memo of
+    ``solve_cellset_subproblem``: its entries depend on the conflict masks
+    only, so they hold for every cell set and cap on this (inst, grid). A
+    one-slot cache hits when both arguments are the very objects of the
+    last call: comparing them by value would hash every rectangle on each
+    capped-MIS call.
     """
     global _last_index
     last_inst, last_grid, index = _last_index
@@ -457,49 +462,84 @@ def _mask_index(inst: MisrInstance, grid: Grid) -> tuple[tuple[int, ...], ...]:
             if spans[i] & spans[j]:
                 shares[i] |= 1 << j
                 shares[j] |= 1 << i
-    _last_index = (inst, grid, (tuple(spans), tuple(shares), conflict_masks(inst)))
+    _last_index = (inst, grid, (tuple(spans), tuple(shares), conflict_masks(inst), {}))
     return _last_index[2]
 
 
-def solve_cellset_subproblem(inst: MisrInstance, grid: Grid, cells: int, cap: int) -> tuple[int, ...]:
+def solve_cellset_subproblem(
+    inst: MisrInstance, grid: Grid, cells: int, cap: int, clock: Optional[_Clock] = None
+) -> tuple[int, ...]:
     """Best feasible subset of size <= cap among rectangles inside the cells.
 
     ``cells`` is a cell mask as built by ``cell_mask``. A rectangle lies
     inside iff its span mask in ``_mask_index`` has no bit outside the
-    cells. The search branches over the inside rectangles in index order,
-    include first, and keeps a mask of those the chosen ones block, so
-    among equally sized optima the lexicographically smallest wins; it
-    stops as soon as the best reaches cap. A branch is cut when the chosen
-    rectangles plus all unblocked remaining ones cannot exceed the best so
-    far. The best changes only on a strict gain, so the cut never changes
-    which maximum is found first.
+    cells. The answer is the lexicographically smallest independent subset
+    of the inside rectangles of size min(alpha, cap), alpha being their
+    independence number: the set an include-first search in index order
+    finds first when it keeps a best only on a strict gain.
+
+    ``best(avail, r)`` returns that subset of the rectangle mask ``avail``
+    under cap r, as a mask. Its smallest member is the first v of avail,
+    ascending, for which v plus ``best(later & ~conflict[v], r - 1)``, later
+    being the bits of avail above v, is largest; a later v replaces it only
+    on a strict gain. The loop stops once the size reaches r or the bits
+    left cannot beat it, and skips a v whose unblocked later bits cannot.
+    The recursion depth is at most r. ``best`` depends on the conflict
+    masks alone, so its memo lives in the ``_mask_index`` slot and serves
+    every call on the same (inst, grid); r is clamped to the popcount of
+    avail, which changes no answer.
+
+    ``clock``, if given, lends its deadline, read inline whenever the memo
+    size is a multiple of 256 on a memo miss; past it the call raises
+    ``BudgetExceededError``, and the memo keeps only finished entries.
     """
     if cap < 0:
         raise ValueError("cap must be non-negative")
-    spans, _, conflict = _mask_index(inst, grid)
-    inside = sum(1 << i for i, span in enumerate(spans) if not span & ~cells)
-    best: list[int] = []
-    chosen: list[int] = []
+    spans, _, conflict, memo = _mask_index(inst, grid)
+    outside = ~cells
+    inside = 0
+    for i, span in enumerate(spans):
+        if not span & outside:
+            inside |= 1 << i
+    shift = inst.n
+    deadline = None if clock is None else clock.deadline
 
-    def rec(avail: int) -> bool:
-        nonlocal best
-        if len(chosen) > len(best):
-            best = chosen[:]
-            if len(best) >= cap:
-                return True
-        while avail and len(chosen) + avail.bit_count() > len(best):
-            low = avail & -avail
-            avail ^= low
-            v = low.bit_length() - 1
-            chosen.append(v)
-            if rec(avail & ~conflict[v]):
-                return True
-            chosen.pop()
-        return False
+    def best(avail: int, r: int) -> int:
+        if r == 1:
+            return avail & -avail
+        key = r << shift | avail
+        out = memo.get(key)
+        if out is not None:
+            return out
+        if deadline is not None and not len(memo) & 255 and time.monotonic() > deadline:
+            raise BudgetExceededError("oracle time budget exceeded")
+        out = m = 0
+        rest = avail
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            if rest.bit_count() < m:
+                break
+            sub = rest & ~conflict[low.bit_length() - 1]
+            count = sub.bit_count()
+            if count < m:
+                continue
+            got = best(sub, min(r - 1, count)) if count else 0
+            size = got.bit_count() + 1
+            if size > m:
+                out, m = low | got, size
+                if m >= r:
+                    break
+        memo[key] = out
+        return out
 
-    if cap > 0:
-        rec(inside)
-    return tuple(best)
+    found = best(inside, min(cap, inside.bit_count())) if cap and inside else 0
+    solution = []  # a solution mask is sparse: a lowest-bit loop beats _cell_list's scan
+    while found:
+        low = found & -found
+        solution.append(low.bit_length() - 1)
+        found ^= low
+    return tuple(solution)
 
 
 @dataclass(frozen=True)
@@ -514,7 +554,7 @@ class _Candidate:
 
 def _cell_list(mask: int) -> list[int]:
     """Ascending bit indices of a cell mask: its cells in (col, row) order."""
-    return [i for i in range((mask & -mask).bit_length() - 1, mask.bit_length()) if mask >> i & 1]
+    return [i for i, b in enumerate(reversed(bin(mask))) if b == "1"]
 
 
 def _candidate_family(
@@ -530,17 +570,29 @@ def _candidate_family(
     (``_mask_index``); the footprint, frontier, banned and blocked sets are
     masks. Disconnected unions split into equivalent separate candidates.
     Each distinct footprint, in order of discovery, is solved once through
-    ``solve_cellset_subproblem``. The family is sorted by (-value, ascending
-    cell list, solution); a cell's bit index orders cells as (col, row)
-    does. ``clock``, if given, ticks once per footprint solved.
+    ``solve_cellset_subproblem``, whose memo the footprints share. The
+    family is sorted by (-value, ascending cell list, solution); a cell's
+    bit index orders cells as (col, row) does.
+
+    ``clock``, if given, bounds the whole family: ``grow`` reads its
+    deadline inline every 256th frame, it ticks once per footprint solved,
+    and each subproblem reads it as well; an overrun raises
+    ``BudgetExceededError``.
     """
     limit = min(c, inst.n)
     if limit <= 0:
         return []
-    spans, shares, conflict = _mask_index(inst, grid)
+    spans, shares, conflict, _ = _mask_index(inst, grid)
     footprints: dict[int, None] = {}
+    deadline = None if clock is None else clock.deadline
+    frames = 0
 
     def grow(above: int, size: int, cells: int, frontier: int, banned: int, blocked: int) -> None:
+        nonlocal frames
+        if deadline is not None:
+            frames += 1
+            if frames % 256 == 0 and time.monotonic() > deadline:
+                raise BudgetExceededError("oracle time budget exceeded")
         footprints.setdefault(cells)
         if size >= limit:
             return
@@ -560,7 +612,7 @@ def _candidate_family(
     for cells in footprints:
         if clock is not None:
             clock.tick()
-        sol = solve_cellset_subproblem(inst, grid, cells, c)
+        sol = solve_cellset_subproblem(inst, grid, cells, c, clock)
         if sol:
             out.append(_Candidate(cells, sol))
     return sorted(out, key=lambda cd: (-cd.value, _cell_list(cd.cells), cd.solution))
@@ -585,7 +637,8 @@ def _max_disjoint_collection(
     of the chosen sub-solutions, breaking value ties towards the
     lexicographically smallest rectangle index set, and the number of
     search frames. A (total, solution) pair is compared only right after an
-    include makes it: a skip child carries its parent's pair, which was
+    include makes it, and its union is sorted only when the total can win
+    or tie: a skip child carries its parent's pair, which was
     compared already, and the best only improves, so it can never win
     there. The search takes one recursive frame per free candidate on the
     skip chain.
@@ -625,9 +678,10 @@ def _max_disjoint_collection(
         if total + prefix[pos + k - picks] - prefix[pos] < best_total:
             return
         inc_total, inc_sol = total + values[pos], sol + sols[pos]
-        ordered = tuple(sorted(inc_sol))
-        if inc_total > best_total or (inc_total == best_total and ordered < best_sol):
-            best_total, best_sol = inc_total, ordered
+        if inc_total >= best_total:
+            ordered = tuple(sorted(inc_sol))
+            if inc_total > best_total or ordered < best_sol:
+                best_total, best_sol = inc_total, ordered
         if not hits[pos]:
             for cell in _cell_list(masks[pos]):
                 hits[pos] |= on_cell[cell]
@@ -676,7 +730,7 @@ def pas_misr(
     under the theory knob mapping at desk scale.
 
     ``budget.time_limit``, if set, is one deadline for the family's
-    subproblems and the set packing; an overrun raises
+    growth and subproblems and the set packing; an overrun raises
     ``BudgetExceededError``. The budget's size bounds do not apply here.
     """
     eps = as_epsilon(epsilon)

@@ -325,6 +325,161 @@ def test_mask_index_cache_hits_on_the_same_objects_only():
     assert again == index and again is not index
 
 
+def _referee_index(inst, grid):
+    """Span masks and conflict masks built straight from the geometry."""
+    spans = [cell_mask(grid, cells_spanned(grid, r)) for r in inst.rects]
+    conflict = [
+        sum(1 << j for j, b in enumerate(inst.rects) if not rects_disjoint(a, b)) for a in inst.rects
+    ]
+    return spans, conflict
+
+
+def _capped_mis_referee(spans, conflict, cells, cap):
+    """Include-first search over the rectangles inside the cells, in index
+    order: a best is kept only on a strict gain, the search stops once the
+    best reaches cap, and a branch is cut when the chosen rectangles plus
+    all unblocked later ones cannot beat the best."""
+    inside = sum(1 << i for i, span in enumerate(spans) if not span & ~cells)
+    best: list[int] = []
+    chosen: list[int] = []
+
+    def rec(avail):
+        nonlocal best
+        if len(chosen) > len(best):
+            best = chosen[:]
+            if len(best) >= cap:
+                return True
+        while avail and len(chosen) + avail.bit_count() > len(best):
+            low = avail & -avail
+            avail ^= low
+            v = low.bit_length() - 1
+            chosen.append(v)
+            if rec(avail & ~conflict[v]):
+                return True
+            chosen.pop()
+        return False
+
+    if cap > 0:
+        rec(inside)
+    return tuple(best)
+
+
+def test_capped_mis_matches_include_first_search():
+    """300 seeded instances, each with the empty cell set, every cell and
+    random cell sets, at every cap from 0 to n + 1 (above the optimum) in a
+    shuffled order, so later calls read memo entries earlier caps and cell
+    sets left on the same (inst, grid)."""
+    rng = random.Random(11)
+    checked = 0
+    for seed in range(300):
+        n = 2 + seed % 15
+        inst = normalize_instance(
+            gen_misr(n=n, seed=seed, span=rng.randrange(4, 17), max_side=rng.randrange(2, 9)).instance
+        )
+        grid = build_grid(inst, n + 1).grid  # n + 1 disjoint rectangles cannot exist
+        spans, conflict = _referee_index(inst, grid)
+        n_cells = grid.n_cols * grid.n_rows
+        masks = [0, (1 << n_cells) - 1] + [
+            rng.getrandbits(n_cells) | rng.getrandbits(n_cells) for _ in range(3)
+        ]
+        caps = list(range(n + 2))
+        for cells in masks:
+            rng.shuffle(caps)
+            for cap in caps:
+                got = solve_cellset_subproblem(inst, grid, cells, cap)
+                assert got == _capped_mis_referee(spans, conflict, cells, cap), (seed, cells, cap)
+                checked += 1
+    assert checked == sum(5 * (2 + s % 15 + 2) for s in range(300))
+
+
+def test_capped_mis_memo_serves_every_cap():
+    """Once every cap has been asked for on one cell set, asking again in
+    the other order adds no memo entry and gives the same answers."""
+    inst = normalize_instance(gen_misr(n=22, seed=5, span=16, max_side=9).instance)
+    grid = build_grid(inst, 9).grid
+    every = (1 << grid.n_cols * grid.n_rows) - 1
+    memo = misr._mask_index(inst, grid)[3]
+    down = [solve_cellset_subproblem(inst, grid, every, cap) for cap in range(23, -1, -1)]
+    size = len(memo)
+    up = [solve_cellset_subproblem(inst, grid, every, cap) for cap in range(24)]
+    assert (up[::-1], len(memo)) == (down, size)
+    assert [len(sol) for sol in up] == [min(cap, 9) for cap in range(24)]  # OPT is 9
+
+
+def test_capped_mis_memo_size():
+    """The memo's entry count is deterministic: a bench instance's family,
+    whose 888 footprints leave 2707 entries."""
+    inst = normalize_instance(gen_misr(n=22, seed=5, span=16, max_side=9).instance)
+    grid = build_grid(inst, 9).grid
+    assert len(misr._candidate_family(inst, grid, 9)) == 888
+    assert len(misr._mask_index(inst, grid)[3]) == 2707
+
+
+def test_candidate_family_matches_referee_family(monkeypatch):
+    """The 14 bench-shaped instances at their realized caps: the family is
+    the one the include-first search builds, tuple for tuple."""
+    rows = []
+    for seed in range(14):
+        inst = normalize_instance(gen_misr(n=22, seed=seed, span=16, max_side=9).instance)
+        opt = mis_rectangles_exact(inst, MISR_BUDGET)
+        grid = build_grid(inst, len(opt)).grid
+        cap = max(structured_solution(opt, grid, inst, Fraction(1, 2)).max_group, 1)
+        rows.append((inst, grid, cap, misr._candidate_family(inst, grid, cap)))
+    index = {}
+
+    def referee(inst, grid, cells, cap, clock=None):
+        if id(grid) not in index:
+            index[id(grid)] = _referee_index(inst, grid)
+        return _capped_mis_referee(*index[id(grid)], cells, cap)
+
+    monkeypatch.setattr(misr, "solve_cellset_subproblem", referee)
+    for inst, grid, cap, family in rows:
+        assert family == misr._candidate_family(inst, grid, cap)
+
+
+def test_capped_mis_reads_its_deadline_on_a_memo_miss():
+    """Past its deadline a clock stops a subproblem at its first memo miss;
+    the memo keeps only finished entries, so the call then answers."""
+    inst = normalize_instance(gen_misr(n=22, seed=5, span=16, max_side=9).instance)
+    grid = build_grid(inst, 9).grid
+    every = (1 << grid.n_cols * grid.n_rows) - 1
+    expired = OracleBudget(time_limit=1).start_clock()
+    expired.deadline = float("-inf")
+    with pytest.raises(BudgetExceededError, match="time budget"):
+        solve_cellset_subproblem(inst, grid, every, 9, expired)
+    assert misr._mask_index(inst, grid)[3] == {}
+    spans, conflict = _referee_index(inst, grid)
+    assert solve_cellset_subproblem(inst, grid, every, 9) == _capped_mis_referee(spans, conflict, every, 9)
+
+
+def test_family_growth_reads_its_deadline_every_256_frames():
+    """n identical rectangles at cap 1 take n growth frames, one footprint
+    and no memo entry. Past its deadline, a clock stops 256 of them at
+    frame 256, while 255 of them end as they do without a clock."""
+    expired = OracleBudget(time_limit=1).start_clock()
+    expired.deadline = float("-inf")
+    for n in (255, 256):
+        inst = _inst(*[(0, 0, 1, 1)] * n)
+        grid = build_grid(inst, 2).grid
+        family = misr._candidate_family(inst, grid, 1)
+        assert [cd.solution for cd in family] == [(0,)]
+        assert misr._mask_index(inst, grid)[3] == {}
+        if n == 255:
+            assert misr._candidate_family(inst, grid, 1, expired) == family
+        else:
+            with pytest.raises(BudgetExceededError, match="time budget"):
+                misr._candidate_family(inst, grid, 1, expired)
+
+
+def test_cell_list_matches_bit_loop():
+    rng = random.Random(3)
+    for bits in range(1, 201):
+        for _ in range(5):
+            mask = rng.getrandbits(bits) | 1 << (bits - 1)
+            assert misr._cell_list(mask) == [i for i in range(bits) if mask >> i & 1]
+    assert misr._cell_list(0) == []
+
+
 # ---------------------------------------------------------------------------
 # PAS and kernel
 
