@@ -430,31 +430,21 @@ def cell_mask(grid: Grid, cells: Iterable[tuple[int, int]]) -> int:
     return sum(1 << (col * grid.n_rows + row) for col, row in set(cells))
 
 
-# The last (inst, grid, index) built by ``_mask_index``. Holding the two
-# objects keeps them alive, so an identity test cannot hit on a reused id.
-_last_index: tuple[object, object, tuple] = (None, None, ())
-
-
-def _mask_index(
+def cell_index(
     inst: MisrInstance, grid: Grid
 ) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], dict[int, int]]:
-    """The span/conflict index of the MISR core, built once per (inst, grid).
+    """The span/conflict index of the MISR core over one (inst, grid).
 
     Per rectangle: its cell-span mask (see ``cell_mask``), and two masks over
     rectangle indices, bit j set when rectangle j shares a cell with it
     (``shares``) or overlaps it (``conflict``, from ``conflict_masks``).
     Overlapping open rectangles meet inside some cell, so every other
-    conflict is also a share. The fourth entry is the capped-MIS memo of
-    ``solve_cellset_subproblem``: its entries depend on the conflict masks
-    only, so they hold for every cell set and cap on this (inst, grid). A
-    one-slot cache hits when both arguments are the very objects of the
-    last call: comparing them by value would hash every rectangle on each
-    capped-MIS call.
+    conflict is also a share. The fourth entry starts as an empty dict: the
+    capped-MIS memo of ``solve_cellset_subproblem``, whose entries depend on
+    the conflict masks only, so they hold for every cell set and cap that
+    is asked of this index. ``pas_misr`` and ``kernel_misr`` build one per
+    run and drop it when they return.
     """
-    global _last_index
-    last_inst, last_grid, index = _last_index
-    if inst is last_inst and grid is last_grid:
-        return index
     spans = [cell_mask(grid, cells_spanned(grid, r)) for r in inst.rects]
     shares = [0] * inst.n
     for i in range(inst.n):
@@ -462,21 +452,21 @@ def _mask_index(
             if spans[i] & spans[j]:
                 shares[i] |= 1 << j
                 shares[j] |= 1 << i
-    _last_index = (inst, grid, (tuple(spans), tuple(shares), conflict_masks(inst), {}))
-    return _last_index[2]
+    return tuple(spans), tuple(shares), conflict_masks(inst), {}
 
 
 def solve_cellset_subproblem(
-    inst: MisrInstance, grid: Grid, cells: int, cap: int, clock: Optional[_Clock] = None
+    index: tuple, cells: int, cap: int, clock: Optional[_Clock] = None
 ) -> tuple[int, ...]:
     """Best feasible subset of size <= cap among rectangles inside the cells.
 
-    ``cells`` is a cell mask as built by ``cell_mask``. A rectangle lies
-    inside iff its span mask in ``_mask_index`` has no bit outside the
-    cells. The answer is the lexicographically smallest independent subset
-    of the inside rectangles of size min(alpha, cap), alpha being their
-    independence number: the set an include-first search in index order
-    finds first when it keeps a best only on a strict gain.
+    ``index`` is the ``cell_index`` of the instance and grid, and ``cells``
+    a cell mask as built by ``cell_mask``. A rectangle lies inside iff its
+    span mask has no bit outside the cells. The answer is the
+    lexicographically smallest independent subset of the inside rectangles
+    of size min(alpha, cap), alpha being their independence number: the
+    set an include-first search in index order finds first when it keeps a
+    best only on a strict gain.
 
     ``best(avail, r)`` returns that subset of the rectangle mask ``avail``
     under cap r, as a mask. Its smallest member is the first v of avail,
@@ -485,9 +475,9 @@ def solve_cellset_subproblem(
     on a strict gain. The loop stops once the size reaches r or the bits
     left cannot beat it, and skips a v whose unblocked later bits cannot.
     The recursion depth is at most r. ``best`` depends on the conflict
-    masks alone, so its memo lives in the ``_mask_index`` slot and serves
-    every call on the same (inst, grid); r is clamped to the popcount of
-    avail, which changes no answer.
+    masks alone, so its memo is the index's fourth entry and serves every
+    call on the same index; r is clamped to the popcount of avail, which
+    changes no answer.
 
     ``clock``, if given, lends its deadline, read inline whenever the memo
     size is a multiple of 256 on a memo miss; past it the call raises
@@ -495,13 +485,13 @@ def solve_cellset_subproblem(
     """
     if cap < 0:
         raise ValueError("cap must be non-negative")
-    spans, _, conflict, memo = _mask_index(inst, grid)
+    spans, _, conflict, memo = index
     outside = ~cells
     inside = 0
     for i, span in enumerate(spans):
         if not span & outside:
             inside |= 1 << i
-    shift = inst.n
+    shift = len(spans)
     deadline = None if clock is None else clock.deadline
 
     def best(avail: int, r: int) -> int:
@@ -557,32 +547,29 @@ def _cell_list(mask: int) -> list[int]:
     return [i for i, b in enumerate(reversed(bin(mask))) if b == "1"]
 
 
-def _candidate_family(
-    inst: MisrInstance, grid: Grid, c: int, clock: Optional[_Clock] = None
-) -> list[_Candidate]:
+def _candidate_family(index: tuple, c: int, clock: Optional[_Clock] = None) -> list[_Candidate]:
     """Footprints of cell-connected independent subsets, solved under cap c.
 
     Every union of blocks worth value v contains an independent subset of v
     rectangles whose own footprint is a candidate here, so the set-packing
     optimum over this family equals the optimum over the full block-union
-    enumeration while staying desk sized. Subsets of up to c rectangles are
-    grown through the shares-a-cell relation of the span/conflict index
-    (``_mask_index``); the footprint, frontier, banned and blocked sets are
+    enumeration while staying desk sized. Subsets of up to c >= 1
+    rectangles are grown through the shares-a-cell relation of ``index``,
+    a ``cell_index``; the footprint, frontier, banned and blocked sets are
     masks. Disconnected unions split into equivalent separate candidates.
     Each distinct footprint, in order of discovery, is solved once through
-    ``solve_cellset_subproblem``, whose memo the footprints share. The
-    family is sorted by (-value, ascending cell list, solution); a cell's
-    bit index orders cells as (col, row) does.
+    ``solve_cellset_subproblem`` on the same index, so the footprints share
+    its memo. The family is sorted by (-value, ascending cell list,
+    solution); a cell's bit index orders cells as (col, row) does.
 
     ``clock``, if given, bounds the whole family: ``grow`` reads its
     deadline inline every 256th frame, it ticks once per footprint solved,
     and each subproblem reads it as well; an overrun raises
     ``BudgetExceededError``.
     """
-    limit = min(c, inst.n)
-    if limit <= 0:
-        return []
-    spans, shares, conflict, _ = _mask_index(inst, grid)
+    spans, shares, conflict, _ = index
+    n = len(spans)
+    limit = min(c, n)
     footprints: dict[int, None] = {}
     deadline = None if clock is None else clock.deadline
     frames = 0
@@ -605,14 +592,14 @@ def _candidate_family(
             grow(above, size + 1, cells | spans[v], frontier | shares[v], banned | dead, blocked | conflict[v])
             dead |= low
 
-    for root in range(inst.n):
+    for root in range(n):
         grow(-2 << root, 1, spans[root], shares[root], 0, conflict[root])
 
     out = []
     for cells in footprints:
         if clock is not None:
             clock.tick()
-        sol = solve_cellset_subproblem(inst, grid, cells, c, clock)
+        sol = solve_cellset_subproblem(index, cells, c, clock)
         if sol:
             out.append(_Candidate(cells, sol))
     return sorted(out, key=lambda cd: (-cd.value, _cell_list(cd.cells), cd.solution))
@@ -732,9 +719,12 @@ def pas_misr(
     ``budget.time_limit``, if set, is one deadline for the family's
     growth and subproblems and the set packing; an overrun raises
     ``BudgetExceededError``. The budget's size bounds do not apply here.
+    A cap c below 1 raises ``ValueError``.
     """
     eps = as_epsilon(epsilon)
     cap_c = theory_cap(eps) if c is None else c
+    if cap_c < 1:
+        raise ValueError(f"c must be positive, got {cap_c}")
     threshold = max(ceil((1 - eps) * k), 0)
     meta: dict[str, object] = {
         "k": k,
@@ -748,9 +738,8 @@ def pas_misr(
     if not outcome.is_grid:
         meta["branch"] = "grid-witness"
         return PasMisrResult(outcome.witness, False, k, meta)
-    grid = outcome.grid
     clock = None if budget is None else budget.start_clock()
-    cands = _candidate_family(inst, grid, cap_c, clock)
+    cands = _candidate_family(cell_index(inst, outcome.grid), cap_c, clock)
     best_total, best_sol, nodes = _max_disjoint_collection(cands, k, clock)
     meta["branch"] = "set-packing"
     meta["candidates"] = len(cands)
@@ -775,16 +764,18 @@ def kernel_misr(
     whenever the family covers the structured groups. The kernel size is
     bounded by c times the candidate count, itself at most k^(4c): a
     footprint is a union of at most c rectangle spans, each a block of the
-    grid's fewer than k^2 cells.
+    grid's fewer than k^2 cells. A cap c below 1 raises ``ValueError``.
     """
     cap_c = theory_cap(epsilon) if c is None else c
+    if cap_c < 1:
+        raise ValueError(f"c must be positive, got {cap_c}")
     outcome = build_grid(inst, k)
     if not outcome.is_grid:
         return KernelReport(
             tuple(sorted(outcome.witness)),
             {"c": cap_c, "k": k, "grid_shortcut": True},
         )
-    cands = _candidate_family(inst, outcome.grid, cap_c)
+    cands = _candidate_family(cell_index(inst, outcome.grid), cap_c)
     kernel: set[int] = set()
     for cand in cands:
         kernel.update(cand.solution)

@@ -41,7 +41,7 @@ class OracleBudget:
     def __post_init__(self) -> None:
         if self.max_items < 1 or self.max_solution_size < 0:
             raise ValueError("budget bounds must be positive")
-        if self.time_limit is not None and self.time_limit <= 0:
+        if self.time_limit is not None and not self.time_limit > 0:  # NaN fails too
             raise ValueError("time limit must be positive")
 
     def start_clock(self) -> "_Clock":

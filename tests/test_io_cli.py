@@ -225,6 +225,33 @@ def test_cli_misr_pas_budget_overrun_is_an_error(tmp_path, capsys):
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
 
+def test_cli_misr_cap_below_one_is_an_error(tmp_path, capsys):
+    # The exact solve finds 12 here, so c = 0 must not assert OPT < 12 nor
+    # write an empty kernel.
+    i = tmp_path / "i.json"
+    assert cli_dispatch(["gen", "misr", "--n", "20", "--seed", "7", "--planted", "5", "--out", str(i)]) == 0
+    assert cli_dispatch(["solve", "misr-exact", str(i), "--k", "12", "--out", str(tmp_path / "e.json")]) == 0
+    for c in ("0", "-1"):
+        for argv in (["solve", "misr-pas"], ["kernel", "misr"]):
+            out = tmp_path / f"{argv[0]}{c}.json"
+            capsys.readouterr()
+            assert cli_dispatch(argv + [str(i), "--k", "12", "--cap-c", c, "--out", str(out)]) == 1
+            assert capsys.readouterr().err == f"error: c must be positive, got {c}\n"
+            assert not out.exists()
+
+
+def test_cli_nan_budget_is_an_error(tmp_path, capsys):
+    # NaN would set a deadline that is never reached: an unbounded run.
+    i = tmp_path / "i.json"
+    assert cli_dispatch(["gen", "misr", "--n", "8", "--seed", "3", "--out", str(i)]) == 0
+    for algorithm in ("misr-exact", "misr-pas"):
+        capsys.readouterr()
+        argv = ["solve", algorithm, str(i), "--k", "2", "--budget", "nan", "--out", str(tmp_path / "s.json")]
+        assert cli_dispatch(argv) == 1
+        assert capsys.readouterr().err == "error: time limit must be positive\n"
+    assert not (tmp_path / "s.json").exists()
+
+
 def test_cli_2dkr_pas_above_the_probe_bound_is_an_error(tmp_path, capsys):
     # 12 items, so the PAS does not settle k = 12 by counting; k' = 7 is one
     # more item than the CLI lets a probe hold.

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from fractions import Fraction
 from itertools import combinations
 from math import ceil
@@ -14,6 +16,7 @@ from rectpas.misr import (
     build_G1,
     build_G2,
     build_grid,
+    cell_index,
     cell_mask,
     cells_spanned,
     crossing_lines,
@@ -292,7 +295,7 @@ def test_cellset_signature_invariant():
 
 def test_subproblem_empty_cells():
     out = build_grid(DIAGONAL3, 4)
-    assert solve_cellset_subproblem(DIAGONAL3, out.grid, cell_mask(out.grid, ()), 3) == ()
+    assert solve_cellset_subproblem(cell_index(DIAGONAL3, out.grid), cell_mask(out.grid, ()), 3) == ()
 
 
 def test_subproblem_disjoint_and_conflicting():
@@ -302,36 +305,28 @@ def test_subproblem_disjoint_and_conflicting():
         for c in range(out.grid.n_cols)
         for r in range(out.grid.n_rows)
     )
-    assert solve_cellset_subproblem(DIAGONAL3, out.grid, cell_mask(out.grid, every), 3) == (0, 1, 2)
+    assert solve_cellset_subproblem(cell_index(DIAGONAL3, out.grid), cell_mask(out.grid, every), 3) == (0, 1, 2)
     clique = _inst((0, 0, 4, 4), (1, 1, 5, 5), (2, 2, 6, 6))
     outc = build_grid(clique, 4)
     if outc.is_grid:
         allc = frozenset(
             (c, r) for c in range(outc.grid.n_cols) for r in range(outc.grid.n_rows)
         )
-        sol = solve_cellset_subproblem(clique, outc.grid, cell_mask(outc.grid, allc), 3)
+        sol = solve_cellset_subproblem(cell_index(clique, outc.grid), cell_mask(outc.grid, allc), 3)
         assert len(sol) == 1
 
 
-def test_mask_index_cache_hits_on_the_same_objects_only():
-    grid = build_grid(DIAGONAL3, 4).grid
-    index = misr._mask_index(DIAGONAL3, grid)
-    assert misr._mask_index(DIAGONAL3, grid) is index
-    stack_grid = build_grid(STACK2, 3).grid
-    assert misr._mask_index(STACK2, stack_grid)[0] == tuple(
-        misr.cell_mask(stack_grid, cells_spanned(stack_grid, r)) for r in STACK2.rects
-    )
-    again = misr._mask_index(DIAGONAL3, build_grid(DIAGONAL3, 4).grid)
-    assert again == index and again is not index
-
-
 def _referee_index(inst, grid):
-    """Span masks and conflict masks built straight from the geometry."""
-    spans = [cell_mask(grid, cells_spanned(grid, r)) for r in inst.rects]
-    conflict = [
+    """Span, shares and conflict masks built straight from the geometry."""
+    cells = [set(cells_spanned(grid, r)) for r in inst.rects]
+    spans = tuple(cell_mask(grid, c) for c in cells)
+    shares = tuple(
+        sum(1 << j for j, b in enumerate(cells) if j != i and a & b) for i, a in enumerate(cells)
+    )
+    conflict = tuple(
         sum(1 << j for j, b in enumerate(inst.rects) if not rects_disjoint(a, b)) for a in inst.rects
-    ]
-    return spans, conflict
+    )
+    return spans, shares, conflict
 
 
 def _capped_mis_referee(spans, conflict, cells, cap):
@@ -368,7 +363,7 @@ def test_capped_mis_matches_include_first_search():
     """300 seeded instances, each with the empty cell set, every cell and
     random cell sets, at every cap from 0 to n + 1 (above the optimum) in a
     shuffled order, so later calls read memo entries earlier caps and cell
-    sets left on the same (inst, grid)."""
+    sets left on the same index. The index itself matches the referee's."""
     rng = random.Random(11)
     checked = 0
     for seed in range(300):
@@ -377,7 +372,9 @@ def test_capped_mis_matches_include_first_search():
             gen_misr(n=n, seed=seed, span=rng.randrange(4, 17), max_side=rng.randrange(2, 9)).instance
         )
         grid = build_grid(inst, n + 1).grid  # n + 1 disjoint rectangles cannot exist
-        spans, conflict = _referee_index(inst, grid)
+        spans, shares, conflict = _referee_index(inst, grid)
+        index = cell_index(inst, grid)
+        assert index[:3] == (spans, shares, conflict) and index[3] == {}, seed
         n_cells = grid.n_cols * grid.n_rows
         masks = [0, (1 << n_cells) - 1] + [
             rng.getrandbits(n_cells) | rng.getrandbits(n_cells) for _ in range(3)
@@ -386,10 +383,14 @@ def test_capped_mis_matches_include_first_search():
         for cells in masks:
             rng.shuffle(caps)
             for cap in caps:
-                got = solve_cellset_subproblem(inst, grid, cells, cap)
+                got = solve_cellset_subproblem(index, cells, cap)
                 assert got == _capped_mis_referee(spans, conflict, cells, cap), (seed, cells, cap)
                 checked += 1
     assert checked == sum(5 * (2 + s % 15 + 2) for s in range(300))
+    stack_grid = build_grid(STACK2, 3).grid
+    assert cell_index(STACK2, stack_grid)[0] == tuple(
+        cell_mask(stack_grid, cells_spanned(stack_grid, r)) for r in STACK2.rects
+    )
 
 
 def test_capped_mis_memo_serves_every_cap():
@@ -398,10 +399,11 @@ def test_capped_mis_memo_serves_every_cap():
     inst = normalize_instance(gen_misr(n=22, seed=5, span=16, max_side=9).instance)
     grid = build_grid(inst, 9).grid
     every = (1 << grid.n_cols * grid.n_rows) - 1
-    memo = misr._mask_index(inst, grid)[3]
-    down = [solve_cellset_subproblem(inst, grid, every, cap) for cap in range(23, -1, -1)]
+    index = cell_index(inst, grid)
+    memo = index[3]
+    down = [solve_cellset_subproblem(index, every, cap) for cap in range(23, -1, -1)]
     size = len(memo)
-    up = [solve_cellset_subproblem(inst, grid, every, cap) for cap in range(24)]
+    up = [solve_cellset_subproblem(index, every, cap) for cap in range(24)]
     assert (up[::-1], len(memo)) == (down, size)
     assert [len(sol) for sol in up] == [min(cap, 9) for cap in range(24)]  # OPT is 9
 
@@ -410,31 +412,32 @@ def test_capped_mis_memo_size():
     """The memo's entry count is deterministic: a bench instance's family,
     whose 888 footprints leave 2707 entries."""
     inst = normalize_instance(gen_misr(n=22, seed=5, span=16, max_side=9).instance)
-    grid = build_grid(inst, 9).grid
-    assert len(misr._candidate_family(inst, grid, 9)) == 888
-    assert len(misr._mask_index(inst, grid)[3]) == 2707
+    index = cell_index(inst, build_grid(inst, 9).grid)
+    assert len(misr._candidate_family(index, 9)) == 888
+    assert len(index[3]) == 2707
 
 
 def test_candidate_family_matches_referee_family(monkeypatch):
     """The 14 bench-shaped instances at their realized caps: the family is
-    the one the include-first search builds, tuple for tuple."""
+    the one the include-first search builds, tuple for tuple. The referee
+    reads the geometry of the row being built, not the index it is handed."""
     rows = []
     for seed in range(14):
         inst = normalize_instance(gen_misr(n=22, seed=seed, span=16, max_side=9).instance)
         opt = mis_rectangles_exact(inst, MISR_BUDGET)
         grid = build_grid(inst, len(opt)).grid
         cap = max(structured_solution(opt, grid, inst, Fraction(1, 2)).max_group, 1)
-        rows.append((inst, grid, cap, misr._candidate_family(inst, grid, cap)))
-    index = {}
+        rows.append((inst, grid, cap, misr._candidate_family(cell_index(inst, grid), cap)))
+    row_index = None
 
-    def referee(inst, grid, cells, cap, clock=None):
-        if id(grid) not in index:
-            index[id(grid)] = _referee_index(inst, grid)
-        return _capped_mis_referee(*index[id(grid)], cells, cap)
+    def referee(index, cells, cap, clock=None):
+        spans, _, conflict = row_index
+        return _capped_mis_referee(spans, conflict, cells, cap)
 
     monkeypatch.setattr(misr, "solve_cellset_subproblem", referee)
     for inst, grid, cap, family in rows:
-        assert family == misr._candidate_family(inst, grid, cap)
+        row_index = _referee_index(inst, grid)
+        assert family == misr._candidate_family(cell_index(inst, grid), cap)
 
 
 def test_capped_mis_reads_its_deadline_on_a_memo_miss():
@@ -445,11 +448,12 @@ def test_capped_mis_reads_its_deadline_on_a_memo_miss():
     every = (1 << grid.n_cols * grid.n_rows) - 1
     expired = OracleBudget(time_limit=1).start_clock()
     expired.deadline = float("-inf")
+    index = cell_index(inst, grid)
     with pytest.raises(BudgetExceededError, match="time budget"):
-        solve_cellset_subproblem(inst, grid, every, 9, expired)
-    assert misr._mask_index(inst, grid)[3] == {}
-    spans, conflict = _referee_index(inst, grid)
-    assert solve_cellset_subproblem(inst, grid, every, 9) == _capped_mis_referee(spans, conflict, every, 9)
+        solve_cellset_subproblem(index, every, 9, expired)
+    assert index[3] == {}
+    spans, _, conflict = _referee_index(inst, grid)
+    assert solve_cellset_subproblem(index, every, 9) == _capped_mis_referee(spans, conflict, every, 9)
 
 
 def test_family_growth_reads_its_deadline_every_256_frames():
@@ -460,15 +464,15 @@ def test_family_growth_reads_its_deadline_every_256_frames():
     expired.deadline = float("-inf")
     for n in (255, 256):
         inst = _inst(*[(0, 0, 1, 1)] * n)
-        grid = build_grid(inst, 2).grid
-        family = misr._candidate_family(inst, grid, 1)
+        index = cell_index(inst, build_grid(inst, 2).grid)
+        family = misr._candidate_family(index, 1)
         assert [cd.solution for cd in family] == [(0,)]
-        assert misr._mask_index(inst, grid)[3] == {}
+        assert index[3] == {}
         if n == 255:
-            assert misr._candidate_family(inst, grid, 1, expired) == family
+            assert misr._candidate_family(index, 1, expired) == family
         else:
             with pytest.raises(BudgetExceededError, match="time budget"):
-                misr._candidate_family(inst, grid, 1, expired)
+                misr._candidate_family(index, 1, expired)
 
 
 def test_cell_list_matches_bit_loop():
@@ -507,6 +511,35 @@ def test_pas_theory_knobs_sound(misr_corpus6):
             assert len(res.selected) >= ceil(0.5 * k)
 
 
+def test_pas_and_kernel_reject_a_cap_below_one():
+    for c in (0, -1):
+        with pytest.raises(ValueError, match="c must be positive"):
+            pas_misr(DIAGONAL3, 4, 0.5, c=c)
+        with pytest.raises(ValueError, match="c must be positive"):
+            kernel_misr(DIAGONAL3, 3, 0.5, c=c)  # before the grid shortcut, too
+
+
+def test_pas_and_kernel_keep_nothing_alive(monkeypatch):
+    """The index and its memo belong to one run: once pas_misr or
+    kernel_misr returns, its instance and grid can be collected."""
+    grids = []
+
+    def build(inst, k):
+        out = build_grid(inst, k)
+        grids.append(weakref.ref(out.grid))
+        return out
+
+    monkeypatch.setattr(misr, "build_grid", build)
+    for run in (pas_misr, kernel_misr):
+        inst = normalize_instance(gen_misr(n=22, seed=5, span=16, max_side=9).instance)
+        dead_inst = weakref.ref(inst)
+        run(inst, 9, Fraction(1, 2), c=2)  # OPT is 9: the grid branch
+        del inst
+        gc.collect()
+        assert (dead_inst(), grids[-1]()) == (None, None), run.__name__
+    assert len(grids) == 2
+
+
 def test_theory_knob_mapping():
     assert theory_cap(0.5) == 256
     assert theory_cap(Fraction(1, 2)) == 256
@@ -531,9 +564,10 @@ def _cellset_referee(inst, grid, k, c, b):
     the rest are searched with an explicit stack.
     """
     sets = []
+    index = cell_index(inst, grid)
     for cs in enumerate_cell_sets(grid, b):
         mask = cell_mask(grid, cs.cells)
-        value = len(solve_cellset_subproblem(inst, grid, mask, c))
+        value = len(solve_cellset_subproblem(index, mask, c))
         if value:
             sets.append((len(cs.cells), mask, value))
     kept = []

@@ -80,6 +80,14 @@ def test_mis_budget_guard():
         mis_rectangles_exact(inst, OracleBudget(max_items=3))
 
 
+def test_budget_rejects_a_time_limit_that_is_not_positive():
+    # NaN passes a "<= 0" test but never reaches its deadline.
+    for bad in (0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="time limit must be positive"):
+            OracleBudget(time_limit=bad)
+    assert OracleBudget(time_limit=0.5).time_limit == 0.5
+
+
 def test_packing_two_full_squares():
     assert packing_feasible_exact([Item(5, 5), Item(5, 5)], 5, 5) is None
 
