@@ -82,6 +82,7 @@ def _build_parser() -> _Parser:
     kn.add_argument("--eps", type=_epsilon, default=Fraction(1, 2))
     kn.add_argument("--cap-c", type=int, default=None)
     kn.add_argument("--ktilde", type=int, default=None)
+    kn.add_argument("--budget", type=float, default=None, help="time budget in seconds for the misr kernel")
     kn.add_argument("--out", type=Path, default=None)
 
     r = sub.add_parser("reduce", help="run the hardness reduction")
@@ -215,11 +216,14 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_kernel(args) -> int:
+    if args.problem == "2dkr" and args.budget is not None:  # it runs no search to bound
+        raise _UsageError("kernel 2dkr takes no --budget")
     inst_file = fileio.load_instance(args.instance)
     if args.problem == "misr":
         if inst_file.kind != "misr":
             raise _UsageError("misr kernel needs a misr instance")
-        report = misr.kernel_misr(normalize_instance(inst_file.instance), args.k, args.eps, args.cap_c)
+        inst = normalize_instance(inst_file.instance)
+        report = misr.kernel_misr(inst, args.k, args.eps, args.cap_c, _budget(args, inst.n))
     else:
         if inst_file.kind != "gknap":
             raise _UsageError("2dkr kernel needs a gknap instance")

@@ -17,8 +17,10 @@ import time
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate
+from functools import reduce
+from itertools import accumulate, compress
 from math import ceil
+from operator import or_
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .geometry import MisrInstance, KernelReport, Rect, as_epsilon, conflict_masks, validate_misr_solution
@@ -502,7 +504,7 @@ def solve_cellset_subproblem(
         if out is not None:
             return out
         if deadline is not None and not len(memo) & 255 and time.monotonic() > deadline:
-            raise BudgetExceededError("oracle time budget exceeded")
+            raise _overrun("capped MIS")
         out = m = 0
         rest = avail
         while rest:
@@ -524,7 +526,7 @@ def solve_cellset_subproblem(
         return out
 
     found = best(inside, min(cap, inside.bit_count())) if cap and inside else 0
-    solution = []  # a solution mask is sparse: a lowest-bit loop beats _cell_list's scan
+    solution = []  # a solution mask has at most cap bits: one step per rectangle, not per bit
     while found:
         low = found & -found
         solution.append(low.bit_length() - 1)
@@ -542,9 +544,40 @@ class _Candidate:
         return len(self.solution)
 
 
-def _cell_list(mask: int) -> list[int]:
-    """Ascending bit indices of a cell mask: its cells in (col, row) order."""
-    return [i for i, b in enumerate(reversed(bin(mask))) if b == "1"]
+def _overrun(stage: str) -> BudgetExceededError:
+    return BudgetExceededError(f"time budget exceeded in {stage}")
+
+
+_COMPLEMENT = str.maketrans("01", "10")
+_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _cell_order_key(mask: int) -> str:
+    """A key that orders nonzero cell masks as their ascending cell lists.
+
+    The key is the mask's binary digits from bit 0 up, complemented, so
+    character i is '0' iff cell i is in the mask. Take masks A != B and the
+    lowest bit l where they differ, and say A has it. As lists, A < B iff B
+    has a bit above l: then A's next cell is l and B's is larger, and
+    otherwise B's list is a prefix of A's. As keys, A holds '0' at l where
+    B holds '1' if B has a bit above l; otherwise B's key ends at or before
+    l and is a prefix of A's. Both orders put a prefix first.
+    """
+    return bin(mask)[:1:-1].translate(_COMPLEMENT)
+
+
+def _bit_columns(rows: Sequence[int], width: int) -> list[int]:
+    """Transpose a bit matrix: bit p of entry j is bit j of ``rows[p]``.
+
+    ``width`` must cover every row's bit length. Each row is written as
+    ``width`` binary digits, and each column of those strings, read from
+    the last row to the first, is one int: one Python step per column, not
+    per bit.
+    """
+    if not rows:
+        return [0] * width
+    digits = [format(row, f"0{width}b") for row in reversed(rows)]
+    return [int("".join(col), 2) for col in zip(*digits)][::-1]
 
 
 def _candidate_family(index: tuple, c: int, clock: Optional[_Clock] = None) -> list[_Candidate]:
@@ -559,13 +592,15 @@ def _candidate_family(index: tuple, c: int, clock: Optional[_Clock] = None) -> l
     masks. Disconnected unions split into equivalent separate candidates.
     Each distinct footprint, in order of discovery, is solved once through
     ``solve_cellset_subproblem`` on the same index, so the footprints share
-    its memo. The family is sorted by (-value, ascending cell list,
-    solution); a cell's bit index orders cells as (col, row) does.
+    its memo. The family is sorted by -value, then by ascending cell list
+    (``_cell_order_key``); a cell's bit index orders cells as (col, row)
+    does, and footprints are distinct, so no two candidates tie.
 
     ``clock``, if given, bounds the whole family: ``grow`` reads its
-    deadline inline every 256th frame, it ticks once per footprint solved,
-    and each subproblem reads it as well; an overrun raises
-    ``BudgetExceededError``.
+    deadline inline every 256th frame, the footprint loop every 256th
+    footprint, and each subproblem on its memo misses; an overrun raises
+    ``BudgetExceededError`` naming the stage, "family growth" or "capped
+    MIS".
     """
     spans, shares, conflict, _ = index
     n = len(spans)
@@ -579,7 +614,7 @@ def _candidate_family(index: tuple, c: int, clock: Optional[_Clock] = None) -> l
         if deadline is not None:
             frames += 1
             if frames % 256 == 0 and time.monotonic() > deadline:
-                raise BudgetExceededError("oracle time budget exceeded")
+                raise _overrun("family growth")
         footprints.setdefault(cells)
         if size >= limit:
             return
@@ -596,13 +631,13 @@ def _candidate_family(index: tuple, c: int, clock: Optional[_Clock] = None) -> l
         grow(-2 << root, 1, spans[root], shares[root], 0, conflict[root])
 
     out = []
-    for cells in footprints:
-        if clock is not None:
-            clock.tick()
+    for solved, cells in enumerate(footprints, 1):
+        if deadline is not None and solved % 256 == 0 and time.monotonic() > deadline:
+            raise _overrun("capped MIS")
         sol = solve_cellset_subproblem(index, cells, c, clock)
         if sol:
             out.append(_Candidate(cells, sol))
-    return sorted(out, key=lambda cd: (-cd.value, _cell_list(cd.cells), cd.solution))
+    return sorted(out, key=lambda cd: (-cd.value, _cell_order_key(cd.cells)))
 
 
 def _max_disjoint_collection(
@@ -615,8 +650,10 @@ def _max_disjoint_collection(
     sets may be chosen. The candidates still disjoint from the chosen ones
     are one int over positions (bit p for candidate p), and the search
     visits only its lowest bit. An include clears the positions whose cells
-    meet the candidate's: the OR of per-cell masks over positions, built on
-    the position's first include. A skip clears the position itself. The
+    meet the candidate's: the OR of per-cell masks over positions (one
+    ``_bit_columns`` transpose of the cell masks), built on the position's
+    first include by C-level ``compress`` and ``reduce``, which add no
+    Python frame to the recursion. A skip clears the position itself. The
     bound on what the remaining picks can add is the sum of the next
     k - picks values, read from prefix sums; that window sum never grows
     with the position, so a blocked position jumped over would prune no
@@ -633,7 +670,8 @@ def _max_disjoint_collection(
     ``clock``, if given, lends its deadline, which every 256th frame reads
     inline rather than through ``_Clock.tick``: the search runs close to
     the recursion limit, and one more call per frame would lower the depth
-    it can reach.
+    it can reach. An overrun raises ``BudgetExceededError`` naming the
+    "set packing" stage.
     """
     values = [cd.value for cd in cands]
     if any(a < b for a, b in zip(values, values[1:])):
@@ -643,10 +681,8 @@ def _max_disjoint_collection(
     prefix += [prefix[-1]] * k  # the bound may look past the last candidate
     masks = [cd.cells for cd in cands]
     sols = [cd.solution for cd in cands]
-    on_cell: dict[int, int] = {}  # cell -> positions of the candidates covering it
-    for pos, mask in enumerate(masks):
-        for cell in _cell_list(mask):
-            on_cell[cell] = on_cell.get(cell, 0) | 1 << pos
+    # cell -> positions of the candidates covering it
+    on_cell = _bit_columns(masks, max(masks, default=0).bit_length())
     hits = [0] * len(cands)  # position -> positions meeting its cells; 0 until built
     best_total = 0
     best_sol: tuple[int, ...] = ()
@@ -657,7 +693,7 @@ def _max_disjoint_collection(
         nonlocal best_total, best_sol, nodes
         nodes += 1
         if deadline is not None and nodes % 256 == 0 and time.monotonic() > deadline:
-            raise BudgetExceededError("oracle time budget exceeded")
+            raise _overrun("set packing")
         if not free or picks >= k:
             return
         low = free & -free
@@ -670,8 +706,8 @@ def _max_disjoint_collection(
             if inc_total > best_total or ordered < best_sol:
                 best_total, best_sol = inc_total, ordered
         if not hits[pos]:
-            for cell in _cell_list(masks[pos]):
-                hits[pos] |= on_cell[cell]
+            flags = bin(masks[pos])[:1:-1].encode().translate(_FLAGS)  # byte i is 1 iff cell i is covered
+            hits[pos] = reduce(or_, compress(on_cell, flags))
         rec(free & ~hits[pos], picks + 1, inc_total, inc_sol)
         rec(free ^ low, picks, total, sol)
 
@@ -755,6 +791,7 @@ def kernel_misr(
     k: int,
     epsilon: Fraction | float,
     c: Optional[int] = None,
+    budget: Optional[OracleBudget] = None,
 ) -> KernelReport:
     """Approximate kernel: union of capped solutions over all candidates.
 
@@ -765,6 +802,10 @@ def kernel_misr(
     bounded by c times the candidate count, itself at most k^(4c): a
     footprint is a union of at most c rectangle spans, each a block of the
     grid's fewer than k^2 cells. A cap c below 1 raises ``ValueError``.
+
+    ``budget.time_limit``, if set, is one deadline for the family's growth
+    and subproblems, as in ``pas_misr``; an overrun raises
+    ``BudgetExceededError``.
     """
     cap_c = theory_cap(epsilon) if c is None else c
     if cap_c < 1:
@@ -775,7 +816,8 @@ def kernel_misr(
             tuple(sorted(outcome.witness)),
             {"c": cap_c, "k": k, "grid_shortcut": True},
         )
-    cands = _candidate_family(cell_index(inst, outcome.grid), cap_c)
+    clock = None if budget is None else budget.start_clock()
+    cands = _candidate_family(cell_index(inst, outcome.grid), cap_c, clock)
     kernel: set[int] = set()
     for cand in cands:
         kernel.update(cand.solution)

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -223,6 +224,40 @@ def test_cli_misr_pas_budget_overrun_is_an_error(tmp_path, capsys):
     assert cli_dispatch(argv + ["--out", str(tmp_path / "a.json")]) == 0
     assert cli_dispatch(argv + ["--budget", "3600", "--out", str(tmp_path / "b.json")]) == 0
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+
+def test_cli_kernel_misr_budget_names_the_stage(tmp_path, capsys):
+    # At n = 80 and the default cap, family growth alone runs for seconds;
+    # the kernel stops within its budget and says which stage overran.
+    i = tmp_path / "i.json"
+    assert cli_dispatch(["gen", "misr", "--n", "80", "--seed", "1", "--span", "30", "--out", str(i)]) == 0
+    out = tmp_path / "k.json"
+    capsys.readouterr()
+    start = time.monotonic()
+    assert cli_dispatch(["kernel", "misr", str(i), "--k", "14", "--budget", "0.5", "--out", str(out)]) == 1
+    assert time.monotonic() - start <= 0.5 * 1.1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "time budget" in err
+    assert any(stage in err for stage in ("family growth", "capped MIS", "set packing")), err
+    assert not out.exists()
+
+
+def test_cli_kernel_budget_writes_the_same_bytes_as_none(tmp_path, capsys):
+    i = tmp_path / "i.json"
+    assert cli_dispatch(["gen", "misr", "--n", "22", "--seed", "5", "--span", "16", "--out", str(i)]) == 0
+    argv = ["kernel", "misr", str(i), "--k", "6", "--cap-c", "6"]
+    assert cli_dispatch(argv + ["--out", str(tmp_path / "a.json")]) == 0
+    assert cli_dispatch(argv + ["--budget", "3600", "--out", str(tmp_path / "b.json")]) == 0
+    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+    # The 2dkr kernel runs no search, so a budget there is a usage error.
+    g = tmp_path / "g.json"
+    assert cli_dispatch(["gen", "gknap", "--n", "6", "--N", "20", "--out", str(g)]) == 0
+    argv = ["kernel", "2dkr", str(g), "--k", "3", "--out", str(tmp_path / "c.json")]
+    capsys.readouterr()
+    assert cli_dispatch(argv + ["--budget", "1"]) == 1
+    assert capsys.readouterr().err == "usage error: kernel 2dkr takes no --budget\n"
+    assert not (tmp_path / "c.json").exists()
+    assert cli_dispatch(argv) == 0
 
 
 def test_cli_misr_cap_below_one_is_an_error(tmp_path, capsys):

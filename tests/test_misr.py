@@ -5,6 +5,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import ceil
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -438,6 +439,9 @@ def test_candidate_family_matches_referee_family(monkeypatch):
     for inst, grid, cap, family in rows:
         row_index = _referee_index(inst, grid)
         assert family == misr._candidate_family(cell_index(inst, grid), cap)
+        bits = grid.n_cols * grid.n_rows
+        cells = {cd.cells: [i for i in range(bits) if cd.cells >> i & 1] for cd in family}
+        assert family == sorted(family, key=lambda cd: (-cd.value, cells[cd.cells], cd.solution))
 
 
 def test_capped_mis_reads_its_deadline_on_a_memo_miss():
@@ -449,7 +453,7 @@ def test_capped_mis_reads_its_deadline_on_a_memo_miss():
     expired = OracleBudget(time_limit=1).start_clock()
     expired.deadline = float("-inf")
     index = cell_index(inst, grid)
-    with pytest.raises(BudgetExceededError, match="time budget"):
+    with pytest.raises(BudgetExceededError, match="time budget exceeded in capped MIS"):
         solve_cellset_subproblem(index, every, 9, expired)
     assert index[3] == {}
     spans, _, conflict = _referee_index(inst, grid)
@@ -471,17 +475,55 @@ def test_family_growth_reads_its_deadline_every_256_frames():
         if n == 255:
             assert misr._candidate_family(index, 1, expired) == family
         else:
-            with pytest.raises(BudgetExceededError, match="time budget"):
+            with pytest.raises(BudgetExceededError, match="time budget exceeded in family growth"):
                 misr._candidate_family(index, 1, expired)
 
 
-def test_cell_list_matches_bit_loop():
+def test_footprint_loop_reads_its_deadline_every_256_footprints(monkeypatch):
+    """A deadline that passes while the footprints are being solved stops
+    the family at the 256th footprint, naming the capped-MIS stage."""
+    inst = normalize_instance(gen_misr(n=22, seed=5, span=16, max_side=9).instance)
+    index = cell_index(inst, build_grid(inst, 9).grid)
+    now = [0.0]
+    monkeypatch.setattr(misr, "time", SimpleNamespace(monotonic=lambda: now[0]))
+    solved = []
+    real = misr.solve_cellset_subproblem
+
+    def solve(index, cells, cap, clock=None):
+        solved.append(cells)
+        now[0] = float("inf")  # growth is over: its frames read 0.0
+        return real(index, cells, cap)
+
+    monkeypatch.setattr(misr, "solve_cellset_subproblem", solve)
+    with pytest.raises(BudgetExceededError, match="time budget exceeded in capped MIS"):
+        misr._candidate_family(index, 9, OracleBudget(time_limit=1).start_clock())
+    assert len(solved) == 255
+
+
+def _cells(mask):
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def test_bit_columns_match_bit_loop():
     rng = random.Random(3)
-    for bits in range(1, 201):
-        for _ in range(5):
-            mask = rng.getrandbits(bits) | 1 << (bits - 1)
-            assert misr._cell_list(mask) == [i for i in range(bits) if mask >> i & 1]
-    assert misr._cell_list(0) == []
+    for width in range(1, 201):
+        for n_rows in (1, 2, 7, 40):
+            rows = [rng.getrandbits(width) for _ in range(n_rows)]
+            expect = [sum(1 << p for p, row in enumerate(rows) if row >> j & 1) for j in range(width)]
+            assert misr._bit_columns(rows, width) == expect, (width, n_rows)
+        assert misr._bit_columns([0] * 5, width) == [0] * width
+        assert misr._bit_columns([], width) == [0] * width
+    assert misr._bit_columns([], 0) == []
+
+
+def test_cell_order_key_orders_as_cell_lists():
+    rng = random.Random(4)
+    masks = [rng.getrandbits(rng.randint(1, 90)) or 1 for _ in range(400)]
+    # a prefix first, and the lowest differing cell decides
+    masks += [0b1, 0b11, 0b101, 0b10, 0b100001, 1 << 70, 3 << 70, 1 << 70 | 1]
+    for a, b in [(0b1, 0b11), (0b101, 0b10), (0b100001, 0b10), (1 << 70, 3 << 70)]:
+        assert misr._cell_order_key(a) < misr._cell_order_key(b)
+    assert sorted(masks, key=misr._cell_order_key) == sorted(masks, key=_cells)
 
 
 # ---------------------------------------------------------------------------
@@ -690,7 +732,7 @@ def test_set_packing_reads_its_deadline_every_256_frames():
         if n == 127:
             assert misr._max_disjoint_collection(cands, n, expired) == found
         else:
-            with pytest.raises(BudgetExceededError, match="time budget"):
+            with pytest.raises(BudgetExceededError, match="time budget exceeded in set packing"):
                 misr._max_disjoint_collection(cands, n, expired)
 
 
