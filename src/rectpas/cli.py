@@ -233,7 +233,7 @@ def _cmd_kernel(args) -> int:
         "problem": args.problem,
         "instance_hash": inst_file.hash,
         "indices": list(report.indices),
-        "params": {k: str(v) for k, v in report.params.items()},
+        "params": {k: str(v) for k, v in {**report.params, "eps": args.eps}.items()},
     }
     _emit(fileio.canonical_json(payload), args.out)
     print(f"kernel of {report.size} objects")

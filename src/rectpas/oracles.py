@@ -1,11 +1,16 @@
-"""Independent brute-force referees.
+"""Exact searches: the 2DKR PAS's packing probe and the referees.
 
 Exact maximum independent set of rectangles, the paper's block-union
 family of candidate cell sets, complete rectangle-packing feasibility,
 exact cardinality geometric knapsack, and a multi-subset-sum DP with
-witness reconstruction. These define ground truth for tests and for
-the acceptance suite, so they favour transparent completeness arguments over
-speed and every answer carries a checkable certificate.
+witness reconstruction. The packing search is the probe the 2DKR PAS
+runs on each k'-subset of its kernel (``first_packable_subset``), so it
+is tuned for speed: an x-projection with an area cut rejects most
+infeasible probes before any 2D placement. Every search is complete,
+ends within its ``OracleBudget`` or raises ``BudgetExceededError``, and
+every answer carries a checkable certificate. The ``*_scan`` and
+``*_enumerate`` functions are brute-force referees for these searches
+and favour transparent completeness over speed.
 """
 
 from __future__ import annotations
@@ -248,6 +253,13 @@ def packing_feasible_exact(
     keeps the load over x as a step profile and hands each child its
     parent's with one interval added (``_add_interval``), so a node costs
     one pass over the steps rather than a rebuild from all placed items.
+    It also cuts a node whose unplaced items cannot fill the room the
+    profile leaves: over each step, they stack to at most the largest sum
+    of their heights that fits under H, and the cut fires when those
+    stacks cover less than their total area (``_x_projection_fits``;
+    the table of sums, ``_stack_table``, is built once per probe). Being
+    sound, the cut leaves the first assignment, and so every placement,
+    unchanged. On a square board the canonical y values are the x values.
 
     The clock is ``budget``'s, started here, unless a caller that runs
     many probes under one deadline hands in its own.
@@ -277,10 +289,11 @@ def _packing_search(items, W, H, rotations, clock):
     per_item = [_orientations(items[i], rotations) for i in order]
     others = [[(items[j].w, items[j].h) for j in order if j != i] for i in order]
     xs_all = [_choice_sums(pairs, W) for pairs in others]
-    root = _x_projection_fits(per_item, xs_all, W, H, clock)
+    stacks = _stack_table(per_item, H)
+    root = _x_projection_fits(per_item, xs_all, stacks, W, H, clock)
     if root is None:
         return None
-    ys_all = [_choice_sums(pairs, H) for pairs in others]
+    ys_all = xs_all if H == W else [_choice_sums(pairs, H) for pairs in others]
     out: list[tuple[int, int, int, bool, int, int]] = []
     checked: dict[tuple, Optional[tuple]] = {}
 
@@ -311,7 +324,7 @@ def _packing_search(items, W, H, rotations, clock):
                 key = (*cert[:t], (x, x + w, h))
                 if key not in checked:
                     checked[key] = cert if cert[t] == key[t] else _x_projection_fits(
-                        per_item, xs_all, W, H, clock, key
+                        per_item, xs_all, stacks, W, H, clock, key
                     )
                 sub = checked[key]
                 if sub is None:
@@ -351,7 +364,26 @@ def _add_interval(profile, x1, x2, h):
     return out
 
 
-def _x_projection_fits(per_item, xs_all, W, H, clock, placed=()):
+def _stack_table(per_item, H):
+    """Per search position t > 0, the pair (need, fill) of the items t and later.
+
+    ``need`` is their total area (rotation keeps an item's area). ``fill``
+    is the sorted sums of at most H that they can stack: each item adds
+    nothing or the height of one of its orientations. Built bottom-up, each
+    position's sums from the next one's. Position 0 has no entry (``None``):
+    the area cut of ``_x_projection_fits`` skips it.
+    """
+    need, sums = 0, {0}
+    table = [None] * len(per_item)
+    for t in range(len(per_item) - 1, 0, -1):
+        opts = per_item[t]
+        sums |= {s + h for _, h, _ in opts for s in sums if s + h <= H}
+        need += opts[0][0] * opts[0][1]
+        table[t] = (need, sorted(sums))
+    return table
+
+
+def _x_projection_fits(per_item, xs_all, stacks, W, H, clock, placed=()):
     """An x-projection that completes ``placed``, or ``None``.
 
     ``placed`` holds the intervals (x, x + w, h) in [0, W) of the first
@@ -364,18 +396,44 @@ def _x_projection_fits(per_item, xs_all, W, H, clock, placed=()):
     load leaves less than h forbids the x values in (a - w, b), a
     contiguous run of the sorted xs, so the free x values are one bitset as
     in the 2D search. The answer lists the intervals of all items, in
-    search order.
+    search order; ``placed`` that already loads some x above H has none.
+
+    A node t is cut when the items t and later cannot fill the room its
+    profile leaves (the wasted-space test of energetic reasoning; Baptiste,
+    Le Pape and Nuijten 2001). With ``need, fill = stacks[t]`` (see
+    ``_stack_table``), the cut fires when the sum over the steps (a, b,
+    load) of (b - a) times the largest value of ``fill`` that is at most
+    H - load falls below ``need``. It is sound: in any completion, the load
+    the remaining items add at a point x is a sum of their chosen heights,
+    so it lies in ``fill`` and is at most H - load; integrating over x
+    bounds their area by that sum. The cut removes only subtrees without a
+    completion, so the nodes left are visited in the same order and the
+    answer is the same. It is skipped at the last item, whose own x loop
+    makes the same test, and at position 0. Only a root call reaches
+    position 0, with nothing placed, where the cut compares W times the
+    tallest stack of all items with their area; on the PAS's probes,
+    tabulating the table's largest entry for that one test costs more
+    time than the nodes it cuts.
     """
     m = len(per_item)
     placed = list(placed)
     root = [(0, W, 0)]
     for x1, x2, h in placed:
         root = _add_interval(root, x1, x2, h)
+    if any(load > H for _, _, load in root):
+        return None
 
     def rec(t: int, profile) -> bool:
         clock.tick()
         if t == m:
             return True
+        if 0 < t < m - 1:
+            need, fill = stacks[t]
+            area = 0
+            for a, b, load in profile:
+                area += (b - a) * fill[bisect_right(fill, H - load) - 1]
+            if area < need:
+                return False
         xs = xs_all[t]
         for w, h, _ in per_item[t]:
             room = H - h

@@ -194,12 +194,13 @@ def test_cli_2dkr_pas_exit_codes(tmp_path):
 
 def test_cli_2dkr_budget_overrun_is_an_error(tmp_path, capsys):
     # 14 distinct items, each longer than half the board on both sides: no
-    # two fit together, so both solvers probe all 91 triples that fit by
+    # two fit together, so both solvers probe all 246 triples that fit by
     # area. The subset enumeration and its probes tick one clock, which
-    # reads the time every 256 ticks, so the run overruns a budget of a
-    # microsecond.
-    items = tuple(Item(11 + i % 5, 11 + i // 5) for i in range(14))
-    g = fileio.save(fileio.InstanceFile("gknap", GknapInstance(21, items)), tmp_path / "g.json")
+    # reads the time every 256 ticks; the enumeration's prefixes alone
+    # tick more often than that, so the run overruns a budget of a
+    # microsecond however early each probe is cut.
+    items = tuple(Item(14 + i % 5, 14 + i // 5) for i in range(14))
+    g = fileio.save(fileio.InstanceFile("gknap", GknapInstance(27, items)), tmp_path / "g.json")
     for algorithm in ("2dkr-exact", "2dkr-pas"):
         argv = ["solve", algorithm, str(g), "--k", "3", "--eps", "1/10", "--ktilde", "100"]
         capsys.readouterr()
@@ -344,6 +345,25 @@ def test_cli_kernel_commands(tmp_path):
     g = tmp_path / "g.json"
     fileio.save(fileio.InstanceFile("gknap", GknapInstance(20, (Item(5, 3), Item(7, 2)))), g)
     assert cli_dispatch(["kernel", "2dkr", str(g), "--k", "2", "--eps", "0.5", "--out", str(k)]) == 0
+
+
+def test_cli_kernel_files_record_eps(tmp_path):
+    # A kernel's guarantee is stated in eps, so its file says which eps,
+    # exactly, as solution files do.
+    i = tmp_path / "i.json"
+    g = tmp_path / "g.json"
+    assert cli_dispatch(["gen", "misr", "--n", "10", "--seed", "2", "--out", str(i)]) == 0
+    fileio.save(fileio.InstanceFile("gknap", GknapInstance(20, (Item(5, 3), Item(7, 2)))), g)
+    runs = [
+        (["kernel", "misr", str(i), "--k", "3", "--cap-c", "3"], "1/2"),
+        (["kernel", "misr", str(i), "--k", "3", "--eps", "0.7", "--cap-c", "3"], "7/10"),
+        (["kernel", "2dkr", str(g), "--k", "2", "--eps", "1/3"], "1/3"),
+    ]
+    for argv, eps in runs:
+        k = tmp_path / "k.json"
+        assert cli_dispatch(argv + ["--out", str(k)]) == 0
+        params = json.loads(k.read_text())["params"]
+        assert params["eps"] == eps, params
 
 
 def test_cli_reduce_verify_render(tmp_path):

@@ -1,7 +1,7 @@
 import random
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from types import SimpleNamespace
 
 import pytest
@@ -389,7 +389,8 @@ def test_choice_sums_take_one_side_per_item():
     ],
 )
 def test_x_projection_cases(per_item, xs_all, W, H, fits):
-    got = oracles._x_projection_fits(per_item, xs_all, W, H, OracleBudget().start_clock())
+    stacks = oracles._stack_table(per_item, H)
+    got = oracles._x_projection_fits(per_item, xs_all, stacks, W, H, OracleBudget().start_clock())
     assert (got is not None) is fits
     if fits:
         # The assignment gives every item an interval of one of its widths.
@@ -404,25 +405,34 @@ def test_x_projection_ticks_the_probe_clock():
             raise BudgetExceededError("oracle time budget exceeded")
 
     with pytest.raises(BudgetExceededError):
-        oracles._x_projection_fits([((1, 1, False),)], [[0]], 2, 2, Expired())
+        oracles._x_projection_fits([((1, 1, False),)], [[0]], [None], 2, 2, Expired())
 
 
-def _x_projection_rebuilt(per_item, xs_all, W, H, clock, placed=()):
+def _x_projection_rebuilt(per_item, xs_all, stacks, W, H, clock, placed=()):
     """Referee for ``_x_projection_fits``: rebuilds the load steps at every node.
 
-    Same nodes in the same order, but each frame cuts the axis at the
+    Same nodes in the same order, but each frame cuts [0, W) at the
     endpoints of all placed intervals and sums the heights over each step.
+    The area cut takes, per step, the largest stack height that fits by a
+    scan of the whole table entry.
     """
     m = len(per_item)
     placed = list(placed)
+
+    def load_steps():
+        cuts = sorted({0, W} | {p for x1, x2, _ in placed for p in (x1, x2)})
+        return [(a, b, sum(h for x1, x2, h in placed if x1 <= a < x2)) for a, b in zip(cuts, cuts[1:])]
 
     def rec(t):
         clock.tick()
         if t == m:
             return True
         xs = xs_all[t]
-        cuts = sorted({p for x1, x2, _ in placed for p in (x1, x2)})
-        steps = [(a, b, sum(h for x1, x2, h in placed if x1 <= a < x2)) for a, b in zip(cuts, cuts[1:])]
+        steps = load_steps()
+        if 0 < t < m - 1:
+            need, fill = stacks[t]
+            if sum((b - a) * max(s for s in fill if load + s <= H) for a, b, load in steps) < need:
+                return False
         for w, h, _ in per_item[t]:
             if h > H:
                 continue
@@ -441,6 +451,8 @@ def _x_projection_rebuilt(per_item, xs_all, W, H, clock, placed=()):
                 placed.pop()
         return False
 
+    if any(load > H for _, _, load in load_steps()):
+        return None
     return tuple(placed) if rec(len(placed)) else None
 
 
@@ -484,14 +496,79 @@ def test_x_projection_matches_the_rebuilt_steps():
                 seen.add("leftmost")
             if starts[-2] < starts[-1]:
                 seen.add("rightmost")
+        stacks = oracles._stack_table(per_item, H)
         budget = OracleBudget(time_limit=3600)
         mine, ref = budget.start_clock(), budget.start_clock()
-        got = oracles._x_projection_fits(per_item, xs_all, W, H, mine, tuple(placed))
-        assert got == _x_projection_rebuilt(per_item, xs_all, W, H, ref, tuple(placed)), trial
+        got = oracles._x_projection_fits(per_item, xs_all, stacks, W, H, mine, tuple(placed))
+        assert got == _x_projection_rebuilt(per_item, xs_all, stacks, W, H, ref, tuple(placed)), trial
         assert mine.checks == ref.checks, trial
         seen.add(("fits" if got is not None else "none", bool(placed), type(H).__name__))
     assert {"touch", "gap", "nest", "cross", "leftmost", "rightmost"} <= seen
     assert {(v, p, h) for v in ("fits", "none") for p in (False, True) for h in ("int", "Fraction")} <= seen
+
+
+@pytest.mark.parametrize("rotations", [False, True])
+@pytest.mark.parametrize("H", [20, Fraction(37, 2)])
+def test_stack_table_matches_brute_force(rotations, H):
+    # Entry t > 0: the area of items t and later, and every sum of at most
+    # H their heights reach when each adds nothing or one orientation's
+    # height. The cut never reads position 0, which has no entry.
+    items = [Item(7, 3), Item(4, 4), Item(2, 9), Item(5, 6), Item(11, 1)]
+    per_item = [oracles._orientations(it, rotations) for it in items]
+    table = oracles._stack_table(per_item, H)
+    assert len(table) == len(items) and table[0] is None
+    for t in range(1, len(items)):
+        sums = set()
+        for mask in range(1 << (len(items) - t)):
+            chosen = [per_item[t + i] for i in range(len(items) - t) if mask >> i & 1]
+            for picks in product(*chosen):
+                sums.add(sum(h for _, h, _ in picks))
+        need = sum(it.w * it.h for it in items[t:])
+        assert table[t] == (need, sorted(s for s in sums if s <= H)), t
+
+
+def test_area_cut_keeps_the_answer_with_no_more_ticks():
+    # The cut removes only nodes without a completion: on random probes of
+    # the PAS's chunky shapes and placed prefixes it returns what the search
+    # without it returns (a table whose areas are all 0 never cuts), and it
+    # never ticks more.
+    rng = random.Random(61)
+    fewer = 0
+    seen = set()
+    for trial in range(1000):
+        items, W, H = _random_probe(rng, rng.choice([10, 24, 100]), 6, rng.choice([(7, 21), (9, 21)]))
+        rotations = rng.random() < 0.5
+        order = sorted(range(len(items)), key=lambda i: (-items[i].w * items[i].h, i))
+        per_item = [oracles._orientations(items[i], rotations) for i in order]
+        xs_all = [
+            oracles._choice_sums([(items[j].w, items[j].h) for j in order if j != i], W) for i in order
+        ]
+        placed = []
+        for t in range(rng.randint(0, len(items) - 2)):
+            w, h, _ = rng.choice(per_item[t])
+            x = rng.choice(xs_all[t][: bisect_right(xs_all[t], W - w)])
+            placed.append((x, x + w, h))
+        budget = OracleBudget(time_limit=3600)
+        cut, plain = budget.start_clock(), budget.start_clock()
+        stacks = oracles._stack_table(per_item, H)
+        got = oracles._x_projection_fits(per_item, xs_all, stacks, W, H, cut, tuple(placed))
+        no_cut = [(0, [0])] * len(items)
+        assert got == oracles._x_projection_fits(per_item, xs_all, no_cut, W, H, plain, tuple(placed)), trial
+        assert cut.checks <= plain.checks, trial
+        fewer += cut.checks < plain.checks
+        seen.add((got is not None, bool(placed)))
+    assert fewer > 40 and seen == {(v, p) for v in (False, True) for p in (False, True)}
+
+
+def test_x_projection_of_an_overloaded_prefix_is_none():
+    # Two placed intervals stack 6 high over [1, 3) on a 6 x 5 board: no
+    # assignment of the last item completes them, though it fits beside.
+    per_item = [((3, 3, False),), ((3, 3, False),), ((1, 1, False),)]
+    xs_all = [[0, 1, 3, 4]] * 3
+    stacks = oracles._stack_table(per_item, 5)
+    clock = OracleBudget().start_clock()
+    assert oracles._x_projection_fits(per_item, xs_all, stacks, 6, 5, clock, ((0, 3, 3),)) is not None
+    assert oracles._x_projection_fits(per_item, xs_all, stacks, 6, 5, clock, ((0, 3, 3), (1, 4, 3))) is None
 
 
 def test_add_interval_splits_and_adds():
@@ -536,8 +613,8 @@ def test_x_projection_never_rejects_a_packable_probe(rotations, monkeypatch):
     verdicts = []
     check = oracles._x_projection_fits
 
-    def recording(per_item, xs_all, W, H, clock, placed=()):
-        got = check(per_item, xs_all, W, H, clock, placed)
+    def recording(per_item, xs_all, stacks, W, H, clock, placed=()):
+        got = check(per_item, xs_all, stacks, W, H, clock, placed)
         if not placed:
             verdicts.append(got is not None)
         return got
@@ -564,9 +641,9 @@ def test_node_projection_keeps_the_first_packing(rotations, monkeypatch):
     node_cuts = 0
     check = oracles._x_projection_fits
 
-    def counting(per_item, xs_all, W, H, clock, placed=()):
+    def counting(per_item, xs_all, stacks, W, H, clock, placed=()):
         nonlocal node_cuts
-        got = check(per_item, xs_all, W, H, clock, placed)
+        got = check(per_item, xs_all, stacks, W, H, clock, placed)
         node_cuts += bool(placed) and got is None
         return got
 
@@ -586,9 +663,9 @@ def test_heavy_probe_is_cut_at_the_nodes(monkeypatch):
     checked = []
     check = oracles._x_projection_fits
 
-    def recording(per_item, xs_all, W, H, clock, placed=()):
+    def recording(per_item, xs_all, stacks, W, H, clock, placed=()):
         checked.append(tuple(placed))
-        return check(per_item, xs_all, W, H, clock, placed)
+        return check(per_item, xs_all, stacks, W, H, clock, placed)
 
     monkeypatch.setattr(oracles, "_x_projection_fits", recording)
     clock = OracleBudget(time_limit=3600).start_clock()
@@ -621,7 +698,9 @@ def test_search_that_follows_the_certificate_checks_once(monkeypatch):
 def test_x_projection_rejects_before_the_2d_search(monkeypatch):
     # Area fits (0.89 of the board) but no packing exists. The y
     # coordinates are built only for a probe the projection passes, so a
-    # probe rejected before the 2D search computes m coordinate lists, not 2m.
+    # probe rejected before the 2D search computes m coordinate lists, not
+    # 2m. On a square board the y lists are the x lists, so a probe that
+    # passes computes m lists too; on another board it computes 2m.
     items = [Item(412, 368), Item(431, 496), Item(342, 348), Item(540, 467), Item(354, 423)]
     calls = []
     choice_sums = oracles._choice_sums
@@ -635,4 +714,7 @@ def test_x_projection_rejects_before_the_2d_search(monkeypatch):
     assert len(calls) == len(items)
     calls.clear()
     assert packing_feasible_exact(items[:3], 1000, 1000) is not None
-    assert len(calls) == 6
+    assert calls == [1000] * 3
+    calls.clear()
+    assert packing_feasible_exact(items[:3], 1000, 1001) is not None
+    assert calls == [1000] * 3 + [1001] * 3
