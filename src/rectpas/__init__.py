@@ -36,7 +36,6 @@ from .misr import (
     build_G1,
     build_G2,
     build_grid,
-    grid_cells,
     kernel_misr,
     pas_misr,
     solve_cellset_subproblem,

@@ -174,45 +174,37 @@ def _cmd_solve(args) -> int:
         inst = normalize_instance(inst_file.instance)
         if args.algorithm == "misr-exact":
             selected = oracles.mis_rectangles_exact(inst, _budget(args, inst.n))
-            if len(selected) < args.k:
-                prov["assertions"].append(f"OPT < {args.k}")
+            below_k = len(selected) < args.k
         else:
             result = misr.pas_misr(inst, args.k, args.eps, args.cap_c, _budget(args, inst.n))
             prov["knobs"] = {"c": result.metadata["c"]}
             selected = result.selected or ()
-            if not result.positive:
-                prov["assertions"].append(f"OPT < {args.k}")
+            below_k = not result.positive
         sol = fileio.SolutionFile("misr-solution", inst_file.hash, tuple(selected), None, prov)
-        _write_file(sol, args.out)
-        if prov["assertions"]:
-            print(f"asserted: OPT < {args.k}")
-            return EXIT_ASSERTED
-        print(f"solution of size {len(selected)}")
-        return EXIT_OK
-
-    if inst_file.kind != "gknap":
-        raise _UsageError(f"{args.algorithm} needs a gknap instance")
-    inst = inst_file.instance
-    if args.algorithm == "2dkr-exact":
-        subset, placements = oracles.knapsack_exact(
-            inst.items, inst.N, inst.N, args.k, inst.rotations, _budget(args, inst.n)
-        )
-        packing = Packing(inst.N, placements)
-        if len(subset) < args.k:
-            prov["assertions"].append(f"OPT < {args.k}")
+        message = f"solution of size {len(selected)}"
     else:
-        result = gknap.pas_2dkr(inst, args.k, args.eps, args.ktilde, budget=_budget(args, inst.n))
-        prov["knobs"] = {"k_tilde": result.metadata["k_tilde"], "k_prime": result.metadata["k_prime"]}
-        packing = result.packing or Packing(inst.N, ())
-        if not result.positive:
-            prov["assertions"].append(f"OPT < {args.k}")
-    sol = fileio.SolutionFile("gknap-packing", inst_file.hash, None, packing, prov)
+        if inst_file.kind != "gknap":
+            raise _UsageError(f"{args.algorithm} needs a gknap instance")
+        inst = inst_file.instance
+        if args.algorithm == "2dkr-exact":
+            subset, placements = oracles.knapsack_exact(
+                inst.items, inst.N, inst.N, args.k, inst.rotations, _budget(args, inst.n)
+            )
+            packing = Packing(inst.N, placements)
+            below_k = len(subset) < args.k
+        else:
+            result = gknap.pas_2dkr(inst, args.k, args.eps, args.ktilde, budget=_budget(args, inst.n))
+            prov["knobs"] = {"k_tilde": result.metadata["k_tilde"], "k_prime": result.metadata["k_prime"]}
+            packing = result.packing or Packing(inst.N, ())
+            below_k = not result.positive
+        sol = fileio.SolutionFile("gknap-packing", inst_file.hash, None, packing, prov)
+        message = f"packing of {packing.size} items"
+    if below_k:
+        prov["assertions"].append(f"OPT < {args.k}")
+        message = f"asserted: OPT < {args.k}"
     _write_file(sol, args.out)
-    if prov["assertions"]:
-        print(f"asserted: OPT < {args.k}")
-        return EXIT_ASSERTED
-    print(f"packing of {packing.size} items")
-    return EXIT_OK
+    print(message)
+    return EXIT_ASSERTED if below_k else EXIT_OK
 
 
 def _cmd_kernel(args) -> int:
@@ -240,14 +232,18 @@ def _cmd_kernel(args) -> int:
     return EXIT_OK
 
 
+def _constants_payload(c: hardness.ReductionConstants) -> dict[str, int]:
+    """The reduction constants a reduction file records."""
+    return {"S": c.S, "L": c.L, "N": c.N, "p": c.p}
+
+
 def _cmd_reduce(args) -> int:
     xs = _parse_ints(args.xs)
     red = hardness.reduce_mss_to_2dkr(xs, args.t, args.k)
-    c = red.constants
     meta = {
         "generator": "mss-to-2dkr",
         "mss": {"xs": xs, "t": args.t, "k": args.k},
-        "constants": {"S": c.S, "L": c.L, "N": c.N, "p": c.p},
+        "constants": _constants_payload(red.constants),
         "k_prime": red.k_prime,
     }
     inst_file = fileio.InstanceFile("gknap", red.instance, meta)
@@ -291,13 +287,7 @@ def _cmd_verify(args) -> int:
         same = (
             expected.instance == inst_file.instance
             and expected.k_prime == meta.get("k_prime")
-            and meta.get("constants")
-            == {
-                "S": expected.constants.S,
-                "L": expected.constants.L,
-                "N": expected.constants.N,
-                "p": expected.constants.p,
-            }
+            and meta.get("constants") == _constants_payload(expected.constants)
         )
         if not same:
             print("reduction file does not match the deterministic construction")

@@ -52,8 +52,6 @@ class Classification:
     large: frozenset[int]
     thin: frozenset[int]
     discarded: frozenset[int]
-    large_threshold: Fraction
-    thin_threshold: Fraction
 
 
 def _classify_for_band(instance: GknapInstance, k: int, B: int) -> Classification:
@@ -67,7 +65,7 @@ def _classify_for_band(instance: GknapInstance, k: int, B: int) -> Classificatio
             thin.add(i)
         else:
             band.add(i)
-    return Classification(B, frozenset(large), frozenset(thin), frozenset(band), hi, lo)
+    return Classification(B, frozenset(large), frozenset(thin), frozenset(band))
 
 
 def classify_items(
@@ -122,7 +120,6 @@ class VisibilityGraph:
 
     vertices: tuple[int, ...]
     arcs: tuple[Arc, ...]
-    max_gap: Coord
 
     def successors(self) -> dict[int, list[int]]:
         out: dict[int, list[int]] = {v: [] for v in self.vertices}
@@ -199,7 +196,7 @@ def build_visibility_graph(
                 if d == 0 or not _segment_blocked(boxes, verts, (src, dst), x, stop, dbot):
                     arcs.append(Arc(src, dst, x, d))
                     break
-    return VisibilityGraph(verts, tuple(arcs), gap)
+    return VisibilityGraph(verts, tuple(arcs))
 
 
 def _segment_blocked(boxes, verts, endpoints, x, y_lo, y_hi) -> bool:
@@ -387,12 +384,7 @@ def free_strip(
     large_pl = [by_index[i] for i in packed if i in cl.large]
     working = Packing(N, tuple(large_pl))
 
-    vg0 = build_visibility_graph(working, items, gap)
-    adj = {v: set() for v in vg0.vertices}
-    for a in vg0.arcs:
-        adj[a.src].add(a.dst)
-        adj[a.dst].add(a.src)
-    division = apply_separator(adj, epsilon)
+    division = apply_separator(build_visibility_graph(working, items, gap).successors(), epsilon)
     sep_removed = tuple(
         sorted(working.placements[v].item for v in division.removed)
     )
@@ -516,10 +508,14 @@ class RoundedItem:
     h_hat: Fraction
 
 
-def rounded_dims(it: Item, unit: Fraction) -> tuple[Fraction, Fraction]:
-    w_hat = -(-it.w // unit) * unit
-    h_hat = -(-it.h // unit) * unit
-    return w_hat, h_hat
+def _units(v: int, N: int, q: int) -> int:
+    """How many units N/q a side of length v rounds up to: ceil(v*q/N)."""
+    return -(-v * q // N)
+
+
+def rounded_dims(it: Item, N: int, q: int) -> tuple[Fraction, Fraction]:
+    """Both sides rounded up to multiples of the unit N/q."""
+    return Fraction(_units(it.w, N, q) * N, q), Fraction(_units(it.h, N, q) * N, q)
 
 
 @dataclass(frozen=True)
@@ -558,7 +554,8 @@ def inflate_packing(
     items = instance.items
     if packing.size > k_prime:
         raise ValueError(f"packing has {packing.size} items, more than k'={k_prime}")
-    unit = Fraction(N, k_prime * k_tilde)
+    q = k_prime * k_tilde
+    unit = Fraction(N, q)
     strip = Fraction(N, k_tilde)
     for pl in packing.placements:
         if pl.y < strip:
@@ -572,7 +569,7 @@ def inflate_packing(
 
     for i in range(len(placed)):
         vert = heights[i]
-        target = -(-vert // unit) * unit
+        target = Fraction(_units(vert, N, q) * N, q)
         delta = target - vert
         if delta == 0:
             continue
@@ -587,7 +584,7 @@ def inflate_packing(
     out = []
     for rec, h in zip(placed, heights):
         it = items[rec[0]]
-        w_hat, h_hat = rounded_dims(it, unit)
+        w_hat, h_hat = rounded_dims(it, N, q)
         rounded.append(RoundedItem(rec[0], w_hat, h_hat))
         out.append(Placement(rec[0], rec[1], rec[2], rec[3]))
     result = InflatedPacking(N, unit, tuple(rounded), tuple(out))
@@ -623,13 +620,13 @@ def prune_to_kernel(
     """
     if k_prime < 1 or k_tilde < 1:
         raise ValueError("k' and k_tilde must be positive")
-    unit = Fraction(instance.N, k_prime * k_tilde)
-    by_h: dict[Fraction, list[int]] = {}
-    by_w: dict[Fraction, list[int]] = {}
+    N, q = instance.N, k_prime * k_tilde
+    # A class is a rounded side, keyed by its count of units N/q.
+    by_h: dict[int, list[int]] = {}
+    by_w: dict[int, list[int]] = {}
     for i, it in enumerate(instance.items):
-        w_hat, h_hat = rounded_dims(it, unit)
-        by_h.setdefault(h_hat, []).append(i)
-        by_w.setdefault(w_hat, []).append(i)
+        by_h.setdefault(_units(it.h, N, q), []).append(i)
+        by_w.setdefault(_units(it.w, N, q), []).append(i)
     keep: set[int] = set()
     for cls in by_h.values():
         cls.sort(key=lambda i: (instance.items[i].w, i))
@@ -639,7 +636,7 @@ def prune_to_kernel(
         keep.update(cls[:k_prime])
     return KernelReport(
         tuple(sorted(keep)),
-        {"k_prime": k_prime, "k_tilde": k_tilde, "unit": unit},
+        {"k_prime": k_prime, "k_tilde": k_tilde, "unit": Fraction(N, q)},
     )
 
 

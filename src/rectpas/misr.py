@@ -64,6 +64,12 @@ class Grid:
     def n_rows(self) -> int:
         return len(self.h_lines) - 1
 
+    def cell_box(self, col: int, row: int) -> Box:
+        """The closed cell between lines col, col + 1 and row, row + 1."""
+        if not (0 <= col < self.n_cols and 0 <= row < self.n_rows):
+            raise IndexError(f"cell ({col},{row}) out of range {(self.n_cols, self.n_rows)}")
+        return Box(self.v_lines[col], self.h_lines[row], self.v_lines[col + 1], self.h_lines[row + 1])
+
 
 @dataclass(frozen=True)
 class GridDichotomy:
@@ -138,49 +144,6 @@ def crossing_lines(grid: Grid, rect: Rect) -> tuple[tuple[int, ...], tuple[int, 
     return vs, hs
 
 
-@dataclass(frozen=True)
-class CellArray:
-    """Indexed closed grid cells with corner and point lookups."""
-
-    grid: Grid
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.grid.n_cols, self.grid.n_rows)
-
-    def cell_box(self, col: int, row: int) -> Box:
-        g = self.grid
-        if not (0 <= col < g.n_cols and 0 <= row < g.n_rows):
-            raise IndexError(f"cell ({col},{row}) out of range {self.shape}")
-        return Box(g.v_lines[col], g.h_lines[row], g.v_lines[col + 1], g.h_lines[row + 1])
-
-    def corners(self, col: int, row: int) -> tuple[tuple[int, int], ...]:
-        b = self.cell_box(col, row)
-        return ((b.x1, b.y1), (b.x2, b.y1), (b.x1, b.y2), (b.x2, b.y2))
-
-    def cells_at_point(self, x: int, y: int) -> tuple[tuple[int, int], ...]:
-        """All closed cells containing the doubled-coordinate point."""
-        g = self.grid
-        cols = range(
-            max(0, bisect_left(g.v_lines, x) - 1),
-            min(g.n_cols, bisect_right(g.v_lines, x)),
-        )
-        rows = range(
-            max(0, bisect_left(g.h_lines, y) - 1),
-            min(g.n_rows, bisect_right(g.h_lines, y)),
-        )
-        return tuple(
-            (c, r)
-            for c in cols
-            for r in rows
-            if self.cell_box(c, r).contains(x, y)
-        )
-
-
-def grid_cells(grid: Grid) -> CellArray:
-    return CellArray(grid)
-
-
 def cells_spanned(grid: Grid, rect: Rect) -> tuple[tuple[int, int], ...]:
     """All cells the open rectangle intersects; always a contiguous block."""
     c_lo = bisect_right(grid.v_lines, 2 * rect.x1) - 1
@@ -236,22 +199,30 @@ def build_G1(
     cross = {i: crossing_lines(grid, inst.rects[i]) for i in sol}
     cells = {i: set(cells_spanned(grid, inst.rects[i])) for i in sol}
     hull = {i: contained_corner_hull(grid, inst.rects[i]) for i in sol}
-    arr = grid_cells(grid)
+    edges = tuple(_g1_edges(sol, grid, inst, cross, cells, hull))
+    vertices = {i: VertexDrawing.box(hull[i]) for i in sol}
+    return EmbeddedGraph(vertices, edges)
 
-    edges: list[tuple[int, int, Segment]] = []
-    for ai in range(len(sol)):
-        for bi in range(ai + 1, len(sol)):
-            i, j = sol[ai], sol[bi]
+
+def _g1_edges(
+    members: Sequence[int], grid: Grid, inst: MisrInstance, cross, cells, hull
+) -> Iterable[tuple[int, int, Segment]]:
+    """G1's edges among ``members`` (sorted), pair by pair in order.
+
+    A pair sharing a cell is joined along a shared crossing line if there is
+    one, else by the top-left/bottom-right diagonal of a shared cell.
+    """
+    for ai in range(len(members)):
+        for bi in range(ai + 1, len(members)):
+            i, j = members[ai], members[bi]
             shared_cells = cells[i] & cells[j]
             if not shared_cells:
                 continue
             seg = _shared_line_segment(i, j, cross, hull)
             if seg is None:
-                seg = _diagonal_segment(arr, inst, sol, shared_cells, i, j, "tlbr")
+                seg = _diagonal_segment(grid, inst, shared_cells, i, j, "tlbr")
             if seg is not None:
-                edges.append((i, j, seg))
-    vertices = {i: VertexDrawing.box(hull[i]) for i in sol}
-    return EmbeddedGraph(vertices, tuple(edges))
+                yield i, j, seg
 
 
 def _shared_line_segment(i, j, cross, hull) -> Optional[Segment]:
@@ -271,9 +242,8 @@ def _shared_line_segment(i, j, cross, hull) -> Optional[Segment]:
 
 
 def _diagonal_segment(
-    arr: CellArray,
+    grid: Grid,
     inst: MisrInstance,
-    solution: Sequence[int],
     shared_cells: Iterable[tuple[int, int]],
     i: int,
     j: int,
@@ -285,7 +255,7 @@ def _diagonal_segment(
     "tlbr" is top-left with bottom-right, "bltr" bottom-left with top-right.
     """
     for cell in sorted(shared_cells):
-        b = arr.cell_box(*cell)
+        b = grid.cell_box(*cell)
         if kind == "tlbr":
             c1, c2 = (b.x1, b.y2), (b.x2, b.y1)
         else:
@@ -317,24 +287,12 @@ def build_G2(
     hull = {i: contained_corner_hull(grid, inst.rects[i]) for i in survivors}
     cross = {i: crossing_lines(grid, inst.rects[i]) for i in survivors}
     cells = {i: set(cells_spanned(grid, inst.rects[i])) for i in survivors}
-    arr = grid_cells(grid)
 
     vertices: dict[int, VertexDrawing] = {}
     for ci, comp in enumerate(g1_division.components):
         members = sorted(comp)
-        boxes = tuple(hull[i] for i in members)
-        connectors: list[Segment] = []
-        for ai in range(len(members)):
-            for bi in range(ai + 1, len(members)):
-                i, j = members[ai], members[bi]
-                if not cells[i] & cells[j]:
-                    continue
-                seg = _shared_line_segment(i, j, cross, hull)
-                if seg is None:
-                    seg = _diagonal_segment(arr, inst, members, cells[i] & cells[j], i, j, "tlbr")
-                if seg is not None:
-                    connectors.append(seg)
-        vertices[ci] = VertexDrawing(boxes, tuple(connectors))
+        connectors = tuple(seg for _, _, seg in _g1_edges(members, grid, inst, cross, cells, hull))
+        vertices[ci] = VertexDrawing(tuple(hull[i] for i in members), connectors)
 
     edges: list[tuple[int, int, Segment]] = []
     seen: set[tuple[int, int]] = set()
@@ -350,7 +308,7 @@ def build_G2(
             shared = cells[i] & cells[j]
             if not shared:
                 continue
-            seg = _diagonal_segment(arr, inst, survivors, shared, i, j, "bltr")
+            seg = _diagonal_segment(grid, inst, shared, i, j, "bltr")
             if seg is not None:
                 seen.add(key)
                 edges.append((ci, cj, seg))

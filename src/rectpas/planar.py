@@ -11,7 +11,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .geometry import Coord, as_epsilon
@@ -83,18 +82,11 @@ class VertexDrawing:
         )
 
 
-Drawing = Union[Box, VertexDrawing]
-
-
-def _as_drawing(d: Drawing) -> VertexDrawing:
-    return VertexDrawing.box(d) if isinstance(d, Box) else d
-
-
 @dataclass(frozen=True)
 class EmbeddedGraph:
     """Simple graph with a drawing per vertex and a segment per edge."""
 
-    vertices: Mapping[int, Drawing]
+    vertices: Mapping[int, VertexDrawing]
     edges: tuple[tuple[int, int, Segment], ...]
 
     def __post_init__(self) -> None:
@@ -119,8 +111,7 @@ class EmbeddedGraph:
     def validate_drawing_anchors(self) -> bool:
         """Every edge segment must start and end on its endpoint drawings."""
         for u, v, seg in self.edges:
-            du = _as_drawing(self.vertices[u])
-            dv = _as_drawing(self.vertices[v])
+            du, dv = self.vertices[u], self.vertices[v]
             a_on = du.contains_point(seg.x1, seg.y1) or dv.contains_point(seg.x1, seg.y1)
             b_on = du.contains_point(seg.x2, seg.y2) or dv.contains_point(seg.x2, seg.y2)
             if not (a_on and b_on):
@@ -229,10 +220,10 @@ def check_drawing_planar(g: EmbeddedGraph) -> bool:
     vertex both edges are incident to, and no edge segment may pass through
     the open interior of a box of a non-incident vertex.
     """
-    return not planarity_violations(g, stop_early=True)
+    return not planarity_violations(g)
 
 
-def planarity_violations(g: EmbeddedGraph, stop_early: bool = False) -> list[str]:
+def planarity_violations(g: EmbeddedGraph) -> list[str]:
     for v in g.vertices:
         if g.vertices[v] is None:
             raise ValueError(f"vertex {v} has no drawing")
@@ -247,24 +238,18 @@ def planarity_violations(g: EmbeddedGraph, stop_early: bool = False) -> list[str
                 continue
             if hit[0] == "overlap":
                 out.append(f"edges ({u1},{v1}) and ({u2},{v2}) overlap collinearly")
-                if stop_early:
-                    return out
                 continue
             _, x, y = hit
             shared = {u1, v1} & {u2, v2}
-            if any(_as_drawing(g.vertices[w]).contains_point(x, y) for w in shared):
+            if any(g.vertices[w].contains_point(x, y) for w in shared):
                 continue
             out.append(f"edges ({u1},{v1}) and ({u2},{v2}) cross at ({x},{y})")
-            if stop_early:
-                return out
     for u, v, seg in edges:
         for w, d in g.vertices.items():
             if w == u or w == v:
                 continue
-            if any(_segment_crosses_open_box(seg, b) for b in _as_drawing(d).boxes):
+            if any(_segment_crosses_open_box(seg, b) for b in d.boxes):
                 out.append(f"edge ({u},{v}) crosses vertex {w}")
-                if stop_early:
-                    return out
     return out
 
 
@@ -324,31 +309,23 @@ def _bfs_levels(adj: Mapping[int, set[int]], root: int, within: set[int]) -> lis
         levels.append(nxt)
 
 
-@dataclass(frozen=True)
-class SeparatorResult:
-    """A balanced separator plus the realized quality coefficient."""
-
-    vertices: frozenset[int]
-    beta: float
-
-
-def balanced_separator(g: AdjacencyLike) -> SeparatorResult:
+def balanced_separator(g: AdjacencyLike) -> frozenset[int]:
     """BFS-level separator: removing it leaves components of <= ceil(2n/3).
 
     Prefers the smallest feasible level, breaking ties towards balance. When
     no single level balances the graph, the two levels at the 1/3 and 2/3
     BFS mass quantiles are removed together, which always satisfies the
-    component bound. beta records |S| / sqrt(n) for the returned S.
+    component bound.
     """
     adj = _adjacency(g)
     n = len(adj)
     if n <= 2:
-        return SeparatorResult(frozenset(), 0.0)
+        return frozenset()
     bound = -(-2 * n // 3)
     comps = _components(adj)
     big = max(comps, key=len)
     if len(big) <= bound:
-        return SeparatorResult(frozenset(), 0.0)
+        return frozenset()
     levels = _bfs_levels(adj, min(big), big)
 
     def comp_sizes_after(removed: set[int]) -> int:
@@ -365,8 +342,7 @@ def balanced_separator(g: AdjacencyLike) -> SeparatorResult:
             if best is None or key < best[0]:
                 best = (key, rm)
     if best is not None:
-        sep = frozenset(best[1])
-        return SeparatorResult(sep, len(sep) / isqrt(n) if n else 0.0)
+        return frozenset(best[1])
 
     # Fallback: cut at the 1/3 and 2/3 cumulative-size levels.
     cum = 0
@@ -383,8 +359,7 @@ def balanced_separator(g: AdjacencyLike) -> SeparatorResult:
         if cum >= 2 * third:
             hi = i
             break
-    sep = frozenset(levels[lo]) | frozenset(levels[hi])
-    return SeparatorResult(sep, len(sep) / isqrt(n) if n else 0.0)
+    return frozenset(levels[lo]) | frozenset(levels[hi])
 
 
 @dataclass(frozen=True)
@@ -393,8 +368,6 @@ class Division:
 
     removed: frozenset[int]
     components: tuple[frozenset[int], ...]
-    component_cap: int
-    removed_fraction: float
 
     @property
     def max_component(self) -> int:
@@ -408,10 +381,10 @@ class Division:
         return where
 
 
-def component_cap_for(epsilon_prime: Fraction | float, c_impl: int = C_IMPL) -> int:
-    """Map a removal budget eps' to the component size cap c' = C_impl/eps'^2."""
+def component_cap_for(epsilon_prime: Fraction | float) -> int:
+    """Map a removal budget eps' to the component size cap c' = C_IMPL/eps'^2."""
     eps = as_epsilon(epsilon_prime)
-    return max(1, -(-c_impl * eps.denominator**2 // eps.numerator**2))
+    return max(1, -(-C_IMPL * eps.denominator**2 // eps.numerator**2))
 
 
 def apply_separator(
@@ -439,7 +412,7 @@ def apply_separator(
             done.append(comp)
             continue
         sub = {v: adj[v] & comp for v in comp}
-        sep = balanced_separator(sub).vertices
+        sep = balanced_separator(sub)
         if not sep:
             # Cannot happen for cap >= 2 since |comp| > cap implies n >= 3,
             # but guard against an infinite loop on adversarial caps.
@@ -450,8 +423,7 @@ def apply_separator(
         frozenset(c) for c in sorted(done, key=lambda c: min(c) if c else -1)
     )
     _check_division(adj, removed, components)
-    frac = len(removed) / len(adj) if adj else 0.0
-    return Division(frozenset(removed), components, cap, frac)
+    return Division(frozenset(removed), components)
 
 
 def _check_division(

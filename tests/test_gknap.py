@@ -22,6 +22,7 @@ from rectpas.gknap import (
     pas_2dkr,
     prune_to_kernel,
     push_up,
+    rounded_dims,
     solve_restricted,
     theory_k_tilde,
 )
@@ -362,6 +363,45 @@ def test_prune_distinct_classes_keep_all():
     items = tuple(Item(10 * (j + 1), 5 * (j + 1)) for j in range(5))
     inst = GknapInstance(100, items)
     assert prune_to_kernel(inst, 1, 100).indices == (0, 1, 2, 3, 4)
+
+
+def _prune_by_fractions(instance, k_prime, k_tilde):
+    """The kernel with rounded sides computed as Fractions, class by class."""
+    unit = Fraction(instance.N, k_prime * k_tilde)
+    items = instance.items
+    by_h, by_w = {}, {}
+    for i, it in enumerate(items):
+        by_h.setdefault(-(-it.h // unit) * unit, []).append(i)
+        by_w.setdefault(-(-it.w // unit) * unit, []).append(i)
+    keep = set()
+    for cls in by_h.values():
+        keep.update(sorted(cls, key=lambda i: (items[i].w, i))[:k_prime])
+    for cls in by_w.values():
+        keep.update(sorted(cls, key=lambda i: (items[i].h, i))[:k_prime])
+    return tuple(sorted(keep)), unit
+
+
+def test_integer_rounding_matches_fraction_rounding():
+    rng = random.Random(16)
+    for trial in range(120):
+        N = rng.choice([24, 97, 1000, 10**6, rng.randrange(2, 5000)])
+        items = tuple(
+            Item(rng.randrange(1, N + 1), rng.randrange(1, N + 1)) for _ in range(rng.randrange(1, 25))
+        )
+        inst = GknapInstance(N, items)
+        k = rng.randrange(2, 13)
+        k_prime = rng.randrange(1, k + 1)
+        eps = rng.choice([Fraction(1, 2), Fraction(1, 3), Fraction(1, 4)])
+        for k_tilde in (theory_k_tilde(k, eps), rng.randrange(1, 9)):
+            ker = prune_to_kernel(inst, k_prime, k_tilde)
+            indices, unit = _prune_by_fractions(inst, k_prime, k_tilde)
+            assert ker.indices == indices, (trial, k_tilde)
+            assert ker.params["unit"] == unit
+            for it in items:
+                assert rounded_dims(it, N, k_prime * k_tilde) == (
+                    -(-it.w // unit) * unit,
+                    -(-it.h // unit) * unit,
+                )
 
 
 def test_solve_restricted_single_item():

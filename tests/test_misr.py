@@ -21,7 +21,6 @@ from rectpas.misr import (
     cell_mask,
     cells_spanned,
     crossing_lines,
-    grid_cells,
     kernel_misr,
     pas_misr,
     solve_cellset_subproblem,
@@ -117,31 +116,35 @@ def test_grid_corner_properties():
         out = build_grid(inst, 6)
         if not out.is_grid:
             continue
-        arr = grid_cells(out.grid)
         for r in inst.rects:
             vs, hs = crossing_lines(out.grid, r)
             assert vs and hs  # contains the corner (vs[0], hs[0])
             for cell in cells_spanned(out.grid, r):
-                corners = arr.corners(*cell)
+                b = out.grid.cell_box(*cell)
                 assert any(
                     2 * r.x1 < cx < 2 * r.x2 and 2 * r.y1 < cy < 2 * r.y2
-                    for cx, cy in corners
+                    for cx in (b.x1, b.x2)
+                    for cy in (b.y1, b.y2)
                 )
 
 
 def test_grid_cells_counts_and_lookup():
     out = build_grid(STACK2, 3)
     assert out.is_grid
-    arr = grid_cells(out.grid)
-    cols, rows = arr.shape
-    assert cols == len(out.grid.v_lines) - 1
-    assert rows == len(out.grid.h_lines) - 1
+    g = out.grid
+    assert g.n_cols == len(g.v_lines) - 1
+    assert g.n_rows == len(g.h_lines) - 1
     # boundary point belongs to every adjacent cell
-    shared = arr.cells_at_point(out.grid.v_lines[1], out.grid.h_lines[1])
-    assert len(shared) >= 2
+    x, y = g.v_lines[1], g.h_lines[1]
+    around = [(c, r) for c in (0, 1) for r in (0, 1) if g.cell_box(c, r).contains(x, y)]
+    assert len(around) >= 2
+    with pytest.raises(IndexError):
+        g.cell_box(g.n_cols, 0)
+    with pytest.raises(IndexError):
+        g.cell_box(0, -1)
     single = _inst((0, 0, 1, 1))
     out1 = build_grid(single, 2)
-    assert grid_cells(out1.grid).shape == (2, 2)
+    assert (out1.grid.n_cols, out1.grid.n_rows) == (2, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +262,30 @@ def test_structured_partition_and_cell_disjointness(misr_corpus6):
                 for cell in cells_spanned(out.grid, inst.rects[i]):
                     owner = cell_owner.setdefault(cell, gi)
                     assert owner == gi, f"cell {cell} shared by groups {owner} and {gi}"
+
+
+# (seed, OPT, max_group, c1, c2) of structured_solution on the benchmark's
+# misr corpus, at k = OPT and eps = 1/2. The benchmark passes max_group as
+# --cap-c, so a drift here changes its answers.
+BENCH_GROUPINGS = (
+    (0, 8, 8, 8, 1), (1, 8, 8, 8, 1), (2, 9, 5, 5, 1), (3, 7, 7, 7, 1),
+    (4, 9, 9, 9, 1), (5, 9, 9, 8, 2), (6, 8, 7, 7, 1), (7, 9, 7, 5, 2),
+    (8, 9, 9, 7, 2), (9, 10, 9, 5, 3), (10, 8, 6, 6, 1), (11, 11, 11, 11, 1),
+    (12, 7, 5, 5, 1), (13, 8, 7, 7, 1),
+)
+
+
+def test_structured_solution_pinned_on_bench_corpus():
+    got = []
+    for seed, *_ in BENCH_GROUPINGS:
+        inst = normalize_instance(gen_misr(n=22, seed=seed, span=16, max_side=9).instance)
+        opt = mis_rectangles_exact(inst, MISR_BUDGET)
+        out = build_grid(inst, len(opt))
+        assert out.is_grid, seed
+        grp = structured_solution(opt, out.grid, inst, Fraction(1, 2))
+        assert not grp.dropped, seed
+        got.append((seed, len(opt), grp.max_group, grp.c1, grp.c2))
+    assert tuple(got) == BENCH_GROUPINGS
 
 
 # ---------------------------------------------------------------------------
