@@ -5,8 +5,10 @@ family of candidate cell sets, complete rectangle-packing feasibility,
 exact cardinality geometric knapsack, and a multi-subset-sum DP with
 witness reconstruction. The packing search is the probe the 2DKR PAS
 runs on each k'-subset of its kernel (``first_packable_subset``), so it
-is tuned for speed: an x-projection with an area cut rejects most
-infeasible probes before any 2D placement. Every search is complete,
+is tuned for speed: bounds from dual feasible functions reject most
+infeasible probes before any coordinate list is built, and an
+x-projection with an area cut rejects most of the rest before any 2D
+placement. Every search is complete,
 ends within its ``OracleBudget`` or raises ``BudgetExceededError``, and
 every answer carries a checkable certificate. The ``*_scan`` and
 ``*_enumerate`` functions are brute-force referees for these searches
@@ -234,8 +236,21 @@ def packing_feasible_exact(
     grows with the number of placed items and of canonical y values, not
     with the number of distinct coordinates on both axes at once. All
     comparisons are exact, so this holds for a ``Fraction`` H as well.
-    Items whose total area exceeds W * H get ``None`` without a search;
-    :func:`first_packable_subset` never builds such a probe.
+
+    The checks run in this order. First, bounds from dual feasible
+    functions (``_dff_rejection``; Fekete and Schepers 2004): the area
+    test, then Fekete-Schepers u^(k) for k = 1, 2, 3, then u^(eps). A
+    function f on [0, L] is dual feasible when any sizes that sum to at
+    most L map to values that sum to at most f(L). In a packing, items
+    whose x-extents are pairwise disjoint have widths that sum to at most
+    W, and likewise on y; so the packing's packing class (the two graphs
+    of overlapping extents) also packs the widths f1(w) into f1(W) and the
+    heights f2(h) into f2(H), and the area of that packing gives
+    sum f1(w) * f2(h) <= f1(W) * f2(H). A probe that breaks the inequality
+    for a member of the fixed family has no packing and gets ``None``
+    before any coordinate list is built, with one tick of the clock.
+    :func:`first_packable_subset` never builds a probe over the area test.
+    Next, the x-projection; last, the 2D search.
 
     Before the 2D search and at its nodes, the items are projected onto x
     (Clautiaux, Carlier and Moukrim 2007): each unplaced item, in the same
@@ -257,9 +272,13 @@ def packing_feasible_exact(
     profile leaves: over each step, they stack to at most the largest sum
     of their heights that fits under H, and the cut fires when those
     stacks cover less than their total area (``_x_projection_fits``;
-    the table of sums, ``_stack_table``, is built once per probe). Being
-    sound, the cut leaves the first assignment, and so every placement,
-    unchanged. On a square board the canonical y values are the x values.
+    the table of sums, ``_stack_table``, is built once per probe of four or
+    more items). Being sound, the cut leaves the first assignment, and so
+    every placement, unchanged. On a square board the canonical y values
+    are the x values.
+
+    Every check only drops probes or subtrees without a packing, so the
+    first packing found is the one the 2D search alone finds.
 
     The clock is ``budget``'s, started here, unless a caller that runs
     many probes under one deadline hands in its own.
@@ -269,9 +288,78 @@ def packing_feasible_exact(
         raise BudgetExceededError(f"{m} items exceed budget {budget.max_solution_size}")
     if m == 0:
         return ()
-    if sum(it.w * it.h for it in items) > W * H:
+    if clock is None:
+        clock = budget.start_clock()
+    if _dff_rejection(items, W, H, rotations) is not None:
+        clock.tick()
         return None
-    return _packing_search(items, W, H, rotations, budget.start_clock() if clock is None else clock)
+    return _packing_search(items, W, H, rotations, clock)
+
+
+# The k of the Fekete-Schepers functions u^(k) that ``_dff_rejection`` tries.
+_DFF_KS = (1, 2, 3)
+
+
+def _dff_rejection(items: Sequence[Item], W: int, H, rotations: bool) -> Optional[str]:
+    """The first dual feasible function whose bound ``items`` break, or ``None``.
+
+    Each member f of the fixed family is applied with L = W to widths and
+    L = H to heights, and the probe breaks it when the sum over the items
+    of f(w) * f(h) exceeds f(W) * f(H) (see :func:`packing_feasible_exact`
+    for why no packing does). A rotatable item counts the smaller of its
+    two orientations; on a square board they are equal. Members, in the
+    order checked, with the name returned:
+
+    * ``"area"``: the identity;
+    * ``"u1"``, ``"u2"``, ``"u3"``: k * u^(k), see ``_u_k``, against
+      k^2 * W * H;
+    * ``"eps"``: u^(eps), see ``_u_eps``, at each threshold e that is an
+      item side with 2 * e <= min(W, H), the same e on both axes, in
+      ascending order. A threshold is skipped when it maps no more sides
+      to L than the last one checked (or than none): every size then maps
+      to no more than it did there (or than itself), so the sum cannot
+      exceed the sum already found within the bound (or the area).
+
+    All arithmetic is exact, for a ``Fraction`` H too.
+    """
+    dims = [(it.w, it.h) for it in items]
+    if sum(w * h for w, h in dims) > W * H:
+        return "area"
+    turn = rotations and W != H
+
+    def total(f, arg):
+        if turn:
+            return sum(min(f(w, W, arg) * f(h, H, arg), f(h, W, arg) * f(w, H, arg)) for w, h in dims)
+        return sum(f(w, W, arg) * f(h, H, arg) for w, h in dims)
+
+    for k in _DFF_KS:
+        if total(_u_k, k) > k * k * W * H:
+            return f"u{k}"
+    sides = sorted({s for d in dims for s in d})
+    inflated = 0
+    for e in sides:
+        if 2 * e > min(W, H):
+            break
+        # The (side, axis) pairs that u^(eps) maps to L; the count only grows with e.
+        now = 2 * len(sides) - bisect_right(sides, W - e) - bisect_right(sides, H - e)
+        if now > inflated:
+            inflated = now
+            if total(_u_eps, e) > W * H:
+                return "eps"
+    return None
+
+
+def _u_k(x, L, k):
+    """k * u^(k)(x) on [0, L] (Fekete and Schepers): k * x when (k + 1) * x
+    is a multiple of L, else floor((k + 1) * x / L) * L. At L it is k * L."""
+    q, r = divmod((k + 1) * x, L)
+    return q * L if r else k * x
+
+
+def _u_eps(x, L, e):
+    """u^(eps)(x) on [0, L] at the threshold e = eps * L, 0 < 2 * e <= L:
+    0 below e, L above L - e, x in between. At L it is L."""
+    return 0 if x < e else L if x > L - e else x
 
 
 def _choice_sums(pairs: Sequence[tuple[int, int]], limit: int) -> list[int]:
@@ -289,7 +377,9 @@ def _packing_search(items, W, H, rotations, clock):
     per_item = [_orientations(items[i], rotations) for i in order]
     others = [[(items[j].w, items[j].h) for j in order if j != i] for i in order]
     xs_all = [_choice_sums(pairs, W) for pairs in others]
-    stacks = _stack_table(per_item, H)
+    # With three items the area cut runs at position 1 alone, where the
+    # table costs more than the nodes it cuts.
+    stacks = _stack_table(per_item, H) if m > 3 else None
     root = _x_projection_fits(per_item, xs_all, stacks, W, H, clock)
     if root is None:
         return None
@@ -408,8 +498,9 @@ def _x_projection_fits(per_item, xs_all, stacks, W, H, clock, placed=()):
     so it lies in ``fill`` and is at most H - load; integrating over x
     bounds their area by that sum. The cut removes only subtrees without a
     completion, so the nodes left are visited in the same order and the
-    answer is the same. It is skipped at the last item, whose own x loop
-    makes the same test, and at position 0. Only a root call reaches
+    answer is the same. It is skipped when ``stacks`` is ``None`` (probes
+    of three items or fewer), at the last item, whose own x loop makes the
+    same test, and at position 0. Only a root call reaches
     position 0, with nothing placed, where the cut compares W times the
     tallest stack of all items with their area; on the PAS's probes,
     tabulating the table's largest entry for that one test costs more
@@ -427,7 +518,7 @@ def _x_projection_fits(per_item, xs_all, stacks, W, H, clock, placed=()):
         clock.tick()
         if t == m:
             return True
-        if 0 < t < m - 1:
+        if stacks is not None and 0 < t < m - 1:
             need, fill = stacks[t]
             area = 0
             for a, b, load in profile:

@@ -210,6 +210,74 @@ def test_packing_area_above_board_skips_search(monkeypatch):
     assert packing_feasible_exact([Item(5, 4)] * 2, 8, Fraction(9, 2)) is None
 
 
+@pytest.mark.parametrize("rotations", [False, True])
+def test_dff_bound_never_rejects_a_probe_the_scan_packs(rotations):
+    # Every member of the family is a valid bound, so a probe it rejects
+    # has no packing, whichever member rejects it.
+    rng = random.Random(71 + rotations)
+    labels = []
+    for _ in range(2000):
+        W, H = rng.randint(3, 8), rng.randint(3, 8)
+        items = [Item(rng.randint(1, W), rng.randint(1, H)) for _ in range(rng.randint(2, 5))]
+        if sum(it.w * it.h for it in items) > W * H:
+            continue
+        label = oracles._dff_rejection(items, W, H, rotations)
+        labels.append(label)
+        if label is not None:
+            assert packing_feasible_scan(items, W, H, rotations) is None, (items, W, H)
+    assert labels.count(None) > len(labels) // 2
+    assert {"u1", "u2", "u3"} <= set(labels)
+
+
+@pytest.mark.parametrize("rotations", [False, True])
+def test_dff_bound_keeps_every_placement(rotations, monkeypatch):
+    # On chunky probes, Fraction H and W != H included, the placements with
+    # the bound are those with it patched out: it only drops probes that
+    # the search would answer None.
+    rng = random.Random(83 + rotations)
+    probes = [_random_probe(rng, W, 6) for W in [10, 24, 100] * 40]
+    labels = [oracles._dff_rejection(items, W, H, rotations) for items, W, H in probes]
+    mine = [packing_feasible_exact(items, W, H, rotations) for items, W, H in probes]
+    monkeypatch.setattr(oracles, "_dff_rejection", _no_dff_bound)
+    assert mine == [packing_feasible_exact(items, W, H, rotations) for items, W, H in probes]
+    rejected = {type(H).__name__ for (_, _, H), label in zip(probes, labels) if label is not None}
+    assert rejected == {"int", "Fraction"} and any(W != H for _, W, H in probes)
+    assert any(p is not None for p in mine)
+
+
+def test_dff_bound_hand_cases(monkeypatch):
+    # Two squares wider than half the board: u^(1) maps each to the board.
+    # The rejected probe still ticks the clock once.
+    squares = [Item(11, 11)] * 2
+    assert oracles._dff_rejection(squares, 20, 20, True) == "u1"
+    clock = OracleBudget(time_limit=3600).start_clock()
+    assert packing_feasible_exact(squares, 20, 20, clock=clock) is None
+    assert clock.checks == 1
+    # A big square leaves a strip of width 1 beside it: u^(eps) at e = 2
+    # maps the big one to the board, and the small one keeps its area.
+    assert oracles._dff_rejection([Item(2, 2), Item(8, 8)], 9, 9, False) == "eps"
+    # Four quarter squares fill the board: (k + 1) * x is a multiple of L
+    # for k = 1 and 3, where k * u^(k) is k * x, so no member rejects them.
+    for N in (2, 10, 24):
+        quarter = [Item(N // 2, N // 2)] * 4
+        assert oracles._dff_rejection(quarter, N, N, False) is None
+        assert validate_packing(Packing(N, packing_feasible_exact(quarter, N, N)), quarter).ok
+    # Area fits (0.89 of the board), but u^(2) maps every item to the board
+    # and five of them exceed 4 * N^2: no coordinate list is built.
+    items = [Item(412, 368), Item(431, 496), Item(342, 348), Item(540, 467), Item(354, 423)]
+    assert oracles._dff_rejection(items, 1000, 1000, True) == "u2"
+    calls = []
+    choice_sums = oracles._choice_sums
+
+    def counting(*args):
+        calls.append(args)
+        return choice_sums(*args)
+
+    monkeypatch.setattr(oracles, "_choice_sums", counting)
+    assert packing_feasible_exact(items, 1000, 1000) is None
+    assert calls == []
+
+
 def test_packing_many_distinct_sides():
     # Distinct sides on a wide board give hundreds to thousands of
     # canonical coordinates per axis; the search must not build anything
@@ -527,6 +595,22 @@ def test_stack_table_matches_brute_force(rotations, H):
         assert table[t] == (need, sorted(s for s in sums if s <= H)), t
 
 
+def test_stack_table_is_built_for_four_or_more_items(monkeypatch):
+    # With three items the area cut could run at position 1 alone, so the
+    # probe builds no table (test_packing_golden_placements pins the answers).
+    built = []
+    table = oracles._stack_table
+
+    def counting(per_item, H):
+        built.append(len(per_item))
+        return table(per_item, H)
+
+    monkeypatch.setattr(oracles, "_stack_table", counting)
+    for items, W, H, rotations, _ in GOLDEN_PACKINGS:
+        packing_feasible_exact(items, W, H, rotations)
+    assert built and min(built) == 4 and 3 in {len(items) for items, *_ in GOLDEN_PACKINGS}
+
+
 def test_area_cut_keeps_the_answer_with_no_more_ticks():
     # The cut removes only nodes without a completion: on random probes of
     # the PAS's chunky shapes and placed prefixes it returns what the search
@@ -595,6 +679,11 @@ def _random_probe(rng, W, max_items=5, sides=(7, 21)):
             return items, W, H
 
 
+def _no_dff_bound(*args):
+    """Stand-in for the DFF bound that rejects no probe."""
+    return None
+
+
 def _no_projection(per_item, *args):
     """Stand-in for the projection check that cuts nothing.
 
@@ -607,7 +696,9 @@ def _no_projection(per_item, *args):
 @pytest.mark.parametrize("rotations", [False, True])
 def test_x_projection_never_rejects_a_packable_probe(rotations, monkeypatch):
     # The projection may only cut probes the 2D search cannot pack, so the
-    # answers with it and without it are the same placements.
+    # answers with it and without it are the same placements. The DFF bound
+    # is patched out, so that every probe reaches the projection's root.
+    monkeypatch.setattr(oracles, "_dff_rejection", _no_dff_bound)
     rng = random.Random(41 + rotations)
     probes = [_random_probe(rng, W) for W in [6, 8] * 60 + [24] * 80]
     verdicts = []
@@ -700,7 +791,9 @@ def test_x_projection_rejects_before_the_2d_search(monkeypatch):
     # coordinates are built only for a probe the projection passes, so a
     # probe rejected before the 2D search computes m coordinate lists, not
     # 2m. On a square board the y lists are the x lists, so a probe that
-    # passes computes m lists too; on another board it computes 2m.
+    # passes computes m lists too; on another board it computes 2m. The
+    # DFF bound, which rejects this probe first, is patched out.
+    monkeypatch.setattr(oracles, "_dff_rejection", _no_dff_bound)
     items = [Item(412, 368), Item(431, 496), Item(342, 348), Item(540, 467), Item(354, 423)]
     calls = []
     choice_sums = oracles._choice_sums
