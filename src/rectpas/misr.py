@@ -392,7 +392,7 @@ def cell_mask(grid: Grid, cells: Iterable[tuple[int, int]]) -> int:
 
 def cell_index(
     inst: MisrInstance, grid: Grid
-) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], dict[int, int]]:
+) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], dict[int, int], tuple[int, ...]]:
     """The span/conflict index of the MISR core over one (inst, grid).
 
     Per rectangle: its cell-span mask (see ``cell_mask``), and two masks over
@@ -402,17 +402,20 @@ def cell_index(
     conflict is also a share. The fourth entry starts as an empty dict: the
     capped-MIS memo of ``solve_cellset_subproblem``, whose entries depend on
     the conflict masks only, so they hold for every cell set and cap that
-    is asked of this index. ``pas_misr`` and ``kernel_misr`` build one per
-    run and drop it when they return.
+    is asked of this index. The fifth, ``on_cell``, is the span masks
+    transposed by one ``_bit_columns`` call: per cell up to the widest span,
+    the mask of the rectangles covering it. A rectangle's ``shares`` is the
+    OR of ``on_cell`` over its span, taken with C-level ``compress`` and
+    ``reduce``, less its own bit. ``pas_misr`` and ``kernel_misr`` build one
+    per run and drop it when they return.
     """
     spans = [cell_mask(grid, cells_spanned(grid, r)) for r in inst.rects]
-    shares = [0] * inst.n
-    for i in range(inst.n):
-        for j in range(i + 1, inst.n):
-            if spans[i] & spans[j]:
-                shares[i] |= 1 << j
-                shares[j] |= 1 << i
-    return tuple(spans), tuple(shares), conflict_masks(inst), {}
+    on_cell = _bit_columns(spans, max(spans, default=0).bit_length())
+    shares = [
+        reduce(or_, compress(on_cell, bin(span)[:1:-1].encode().translate(_FLAGS)), 0) & ~(1 << i)
+        for i, span in enumerate(spans)
+    ]
+    return tuple(spans), tuple(shares), conflict_masks(inst), {}, tuple(on_cell)
 
 
 def solve_cellset_subproblem(
@@ -422,18 +425,24 @@ def solve_cellset_subproblem(
 
     ``index`` is the ``cell_index`` of the instance and grid, and ``cells``
     a cell mask as built by ``cell_mask``. A rectangle lies inside iff its
-    span mask has no bit outside the cells. The answer is the
-    lexicographically smallest independent subset of the inside rectangles
-    of size min(alpha, cap), alpha being their independence number: the
-    set an include-first search in index order finds first when it keeps a
-    best only on a strict gain.
+    span mask has no bit outside the cells, so the inside mask is every
+    rectangle less the OR of the index's ``on_cell`` masks over the cells
+    not in ``cells`` (up to the widest span; no rectangle covers a cell
+    above it), taken with C-level ``compress`` and ``reduce``. The answer
+    is the lexicographically smallest independent subset of the inside
+    rectangles of size min(alpha, cap), alpha being their independence
+    number: the set an include-first search in index order finds first
+    when it keeps a best only on a strict gain.
 
-    ``best(avail, r)`` returns that subset of the rectangle mask ``avail``
-    under cap r, as a mask. Its smallest member is the first v of avail,
-    ascending, for which v plus ``best(later & ~conflict[v], r - 1)``, later
-    being the bits of avail above v, is largest; a later v replaces it only
-    on a strict gain. The loop stops once the size reaches r or the bits
-    left cannot beat it, and skips a v whose unblocked later bits cannot.
+    ``best(avail, r, key)`` returns that subset of the rectangle mask
+    ``avail`` under cap r >= 2, as a mask, and stores it in the memo under
+    ``key``. Its smallest member is the first v of avail, ascending, for
+    which v plus the answer for ``sub = later & ~conflict[v]`` under cap
+    r - 1, later being the bits of avail above v, is largest; a later v
+    replaces it only on a strict gain. The loop stops once the size reaches
+    r or the bits left cannot beat it, and skips a v whose unblocked later
+    bits cannot. A child under cap 1 is ``sub & -sub``, inline, and a child
+    in the memo is read there, so ``best`` is called on memo misses only.
     The recursion depth is at most r. ``best`` depends on the conflict
     masks alone, so its memo is the index's fourth entry and serves every
     call on the same index; r is clamped to the popcount of avail, which
@@ -445,22 +454,15 @@ def solve_cellset_subproblem(
     """
     if cap < 0:
         raise ValueError("cap must be non-negative")
-    spans, _, conflict, memo = index
-    outside = ~cells
-    inside = 0
-    for i, span in enumerate(spans):
-        if not span & outside:
-            inside |= 1 << i
+    spans, _, conflict, memo, on_cell = index
     shift = len(spans)
+    outside = ~cells & ((1 << len(on_cell)) - 1)
+    flags = bin(outside)[:1:-1].encode().translate(_FLAGS)  # byte i is 1 iff cell i is outside
+    inside = ((1 << shift) - 1) & ~reduce(or_, compress(on_cell, flags), 0)
     deadline = None if clock is None else clock.deadline
+    memo_get = memo.get
 
-    def best(avail: int, r: int) -> int:
-        if r == 1:
-            return avail & -avail
-        key = r << shift | avail
-        out = memo.get(key)
-        if out is not None:
-            return out
+    def best(avail: int, r: int, key: int) -> int:
         if deadline is not None and not len(memo) & 255 and time.monotonic() > deadline:
             raise _overrun("capped MIS")
         out = m = 0
@@ -474,7 +476,14 @@ def solve_cellset_subproblem(
             count = sub.bit_count()
             if count < m:
                 continue
-            got = best(sub, min(r - 1, count)) if count else 0
+            if count < 2 or r == 2:
+                got = sub & -sub
+            else:
+                sub_r = count if count < r else r - 1
+                sub_key = sub_r << shift | sub
+                got = memo_get(sub_key)
+                if got is None:
+                    got = best(sub, sub_r, sub_key)
             size = got.bit_count() + 1
             if size > m:
                 out, m = low | got, size
@@ -483,7 +492,14 @@ def solve_cellset_subproblem(
         memo[key] = out
         return out
 
-    found = best(inside, min(cap, inside.bit_count())) if cap and inside else 0
+    r = min(cap, inside.bit_count())
+    if r < 2:
+        found = inside & -inside if r else 0
+    else:
+        key = r << shift | inside
+        found = memo_get(key)
+        if found is None:
+            found = best(inside, r, key)
     solution = []  # a solution mask has at most cap bits: one step per rectangle, not per bit
     while found:
         low = found & -found
@@ -552,7 +568,9 @@ def _candidate_family(index: tuple, c: int, clock: Optional[_Clock] = None) -> l
     ``solve_cellset_subproblem`` on the same index, so the footprints share
     its memo. The family is sorted by -value, then by ascending cell list
     (``_cell_order_key``); a cell's bit index orders cells as (col, row)
-    does, and footprints are distinct, so no two candidates tie.
+    does, and footprints are distinct, so no two candidates tie. Each
+    candidate's key is built once, at the head of a tuple that also carries
+    its cells and solution, and the tuples are sorted.
 
     ``clock``, if given, bounds the whole family: ``grow`` reads its
     deadline inline every 256th frame, the footprint loop every 256th
@@ -560,7 +578,7 @@ def _candidate_family(index: tuple, c: int, clock: Optional[_Clock] = None) -> l
     ``BudgetExceededError`` naming the stage, "family growth" or "capped
     MIS".
     """
-    spans, shares, conflict, _ = index
+    spans, shares, conflict, _, _ = index
     n = len(spans)
     limit = min(c, n)
     footprints: dict[int, None] = {}
@@ -594,8 +612,9 @@ def _candidate_family(index: tuple, c: int, clock: Optional[_Clock] = None) -> l
             raise _overrun("capped MIS")
         sol = solve_cellset_subproblem(index, cells, c, clock)
         if sol:
-            out.append(_Candidate(cells, sol))
-    return sorted(out, key=lambda cd: (-cd.value, _cell_order_key(cd.cells)))
+            out.append((-len(sol), _cell_order_key(cells), cells, sol))
+    out.sort()  # the first two entries never tie, so cells and sol are never compared
+    return [_Candidate(cells, sol) for _, _, cells, sol in out]
 
 
 def _max_disjoint_collection(

@@ -402,7 +402,11 @@ def test_capped_mis_matches_include_first_search():
         grid = build_grid(inst, n + 1).grid  # n + 1 disjoint rectangles cannot exist
         spans, shares, conflict = _referee_index(inst, grid)
         index = cell_index(inst, grid)
-        assert index[:3] == (spans, shares, conflict) and index[3] == {}, seed
+        on_cell = tuple(
+            sum(1 << i for i, span in enumerate(spans) if span >> j & 1)
+            for j in range(max(spans).bit_length())
+        )
+        assert index == (spans, shares, conflict, {}, on_cell), seed
         n_cells = grid.n_cols * grid.n_rows
         masks = [0, (1 << n_cells) - 1] + [
             rng.getrandbits(n_cells) | rng.getrandbits(n_cells) for _ in range(3)
@@ -419,6 +423,46 @@ def test_capped_mis_matches_include_first_search():
     assert cell_index(STACK2, stack_grid)[0] == tuple(
         cell_mask(stack_grid, cells_spanned(stack_grid, r)) for r in STACK2.rects
     )
+
+
+def test_inside_mask_matches_span_scan(monkeypatch):
+    """The inside set read off the cell -> rectangles transpose is the one
+    the per-rectangle span scan gives, on every footprint of the 14
+    bench-shaped families at their realized caps and on random cell masks,
+    some with bits above the widest span, and on the empty instance. With
+    every conflict mask cleared and the cap at n, capped MIS answers the
+    inside set itself."""
+    footprints = []
+    real = misr.solve_cellset_subproblem
+    # growth still visits every footprint when each one solves to nothing
+    monkeypatch.setattr(misr, "solve_cellset_subproblem", lambda _, cells, *rest: footprints.append(cells) or ())
+    rng = random.Random(12)
+    checked = 0
+    for seed in range(14):
+        inst = normalize_instance(gen_misr(n=22, seed=seed, span=16, max_side=9).instance)
+        opt = mis_rectangles_exact(inst, MISR_BUDGET)
+        grid = build_grid(inst, len(opt)).grid
+        cap = max(structured_solution(opt, grid, inst, Fraction(1, 2)).max_group, 1)
+        index = cell_index(inst, grid)
+        footprints.clear()
+        misr._candidate_family(index, cap)
+        spans, shares, _, _, on_cell = index
+        width = len(on_cell)
+        assert width == max(spans).bit_length() <= grid.n_cols * grid.n_rows
+        masks = footprints + [rng.getrandbits(width) for _ in range(40)]
+        masks += [rng.getrandbits(width + 9) | 1 << width + rng.randrange(9) for _ in range(40)]
+        masks += [0, (1 << width) - 1, (1 << width + 5) - 1, 1 << width]
+        unblocked = (spans, shares, (0,) * inst.n, {}, on_cell)
+        for cells in masks:
+            inside = tuple(i for i, span in enumerate(spans) if not span & ~cells)
+            assert real(unblocked, cells, inst.n) == inside, (seed, cells)
+        checked += len(footprints)
+    assert checked == 10273  # the footprints of the 14 families
+    empty = MisrInstance(())
+    index = cell_index(empty, build_grid(empty, 1).grid)
+    assert index == ((), (), (), {}, ())
+    for cells in (0, 1, 0b1011):
+        assert real(index, cells, 3) == ()
 
 
 def test_capped_mis_memo_serves_every_cap():
