@@ -17,11 +17,9 @@ import time
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
-from itertools import accumulate, compress
+from itertools import accumulate
 from math import ceil
-from operator import or_
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .geometry import MisrInstance, KernelReport, Rect, as_epsilon, conflict_masks, validate_misr_solution
 from .oracles import BudgetExceededError, OracleBudget, _Clock
@@ -144,14 +142,19 @@ def crossing_lines(grid: Grid, rect: Rect) -> tuple[tuple[int, ...], tuple[int, 
     return vs, hs
 
 
-def cells_spanned(grid: Grid, rect: Rect) -> tuple[tuple[int, int], ...]:
-    """All cells the open rectangle intersects; always a contiguous block."""
+def _span_block(grid: Grid, rect: Rect) -> tuple[int, int, int, int]:
+    """(c_lo, c_hi, r_lo, r_hi): the first and last column and row of the
+    cells the open rectangle intersects."""
     c_lo = bisect_right(grid.v_lines, 2 * rect.x1) - 1
     c_hi = bisect_left(grid.v_lines, 2 * rect.x2) - 1
     r_lo = bisect_right(grid.h_lines, 2 * rect.y1) - 1
     r_hi = bisect_left(grid.h_lines, 2 * rect.y2) - 1
-    c_lo, r_lo = max(c_lo, 0), max(r_lo, 0)
-    c_hi, r_hi = min(c_hi, grid.n_cols - 1), min(r_hi, grid.n_rows - 1)
+    return max(c_lo, 0), min(c_hi, grid.n_cols - 1), max(r_lo, 0), min(r_hi, grid.n_rows - 1)
+
+
+def cells_spanned(grid: Grid, rect: Rect) -> tuple[tuple[int, int], ...]:
+    """All cells the open rectangle intersects; always a contiguous block."""
+    c_lo, c_hi, r_lo, r_hi = _span_block(grid, rect)
     return tuple((c, r) for c in range(c_lo, c_hi + 1) for r in range(r_lo, r_hi + 1))
 
 
@@ -392,30 +395,34 @@ def cell_mask(grid: Grid, cells: Iterable[tuple[int, int]]) -> int:
 
 def cell_index(
     inst: MisrInstance, grid: Grid
-) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], dict[int, int], tuple[int, ...]]:
+) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], dict[int, int], tuple[list[int], ...]]:
     """The span/conflict index of the MISR core over one (inst, grid).
 
     Per rectangle: its cell-span mask (see ``cell_mask``), and two masks over
     rectangle indices, bit j set when rectangle j shares a cell with it
     (``shares``) or overlaps it (``conflict``, from ``conflict_masks``).
     Overlapping open rectangles meet inside some cell, so every other
-    conflict is also a share. The fourth entry starts as an empty dict: the
-    capped-MIS memo of ``solve_cellset_subproblem``, whose entries depend on
-    the conflict masks only, so they hold for every cell set and cap that
-    is asked of this index. The fifth, ``on_cell``, is the span masks
-    transposed by one ``_bit_columns`` call: per cell up to the widest span,
-    the mask of the rectangles covering it. A rectangle's ``shares`` is the
-    OR of ``on_cell`` over its span, taken with C-level ``compress`` and
-    ``reduce``, less its own bit. ``pas_misr`` and ``kernel_misr`` build one
-    per run and drop it when they return.
+    conflict is also a share. A span is a block of cells, so its mask is
+    built per column as one run of row bits. The fourth entry starts as an
+    empty dict: the capped-MIS memo of ``solve_cellset_subproblem``, whose
+    entries depend on the conflict masks only, so they hold for every cell
+    set and cap that is asked of this index. The fifth is the ``_or_tables``
+    of the span masks transposed by one ``_bit_columns`` call (per cell up
+    to the widest span, the mask of the rectangles covering it), so that
+    ``_table_or`` gives the rectangles meeting any cell set in one lookup
+    per 8 cells. A rectangle's ``shares`` is that OR over its span, less its
+    own bit. ``pas_misr`` and ``kernel_misr`` build one per run and drop it
+    when they return.
     """
-    spans = [cell_mask(grid, cells_spanned(grid, r)) for r in inst.rects]
-    on_cell = _bit_columns(spans, max(spans, default=0).bit_length())
-    shares = [
-        reduce(or_, compress(on_cell, bin(span)[:1:-1].encode().translate(_FLAGS)), 0) & ~(1 << i)
-        for i, span in enumerate(spans)
-    ]
-    return tuple(spans), tuple(shares), conflict_masks(inst), {}, tuple(on_cell)
+    rows = grid.n_rows
+    spans = []
+    for rect in inst.rects:
+        c_lo, c_hi, r_lo, r_hi = _span_block(grid, rect)
+        run = ((1 << (r_hi - r_lo + 1)) - 1) << r_lo
+        spans.append(sum(run << col * rows for col in range(c_lo, c_hi + 1)))
+    tables = _or_tables(_bit_columns(spans, max(spans, default=0).bit_length()))
+    shares = [_table_or(tables, span) & ~(1 << i) for i, span in enumerate(spans)]
+    return tuple(spans), tuple(shares), conflict_masks(inst), {}, tuple(tables)
 
 
 def solve_cellset_subproblem(
@@ -426,9 +433,10 @@ def solve_cellset_subproblem(
     ``index`` is the ``cell_index`` of the instance and grid, and ``cells``
     a cell mask as built by ``cell_mask``. A rectangle lies inside iff its
     span mask has no bit outside the cells, so the inside mask is every
-    rectangle less the OR of the index's ``on_cell`` masks over the cells
-    not in ``cells`` (up to the widest span; no rectangle covers a cell
-    above it), taken with C-level ``compress`` and ``reduce``. The answer
+    rectangle less the rectangles meeting a cell not in ``cells``: the
+    ``_table_or`` of the index's tables over ``~cells``, which reads only
+    the cells up to the widest span (no rectangle covers a cell above it),
+    one lookup per 8 cells. The answer
     is the lexicographically smallest independent subset of the inside
     rectangles of size min(alpha, cap), alpha being their independence
     number: the set an include-first search in index order finds first
@@ -454,11 +462,9 @@ def solve_cellset_subproblem(
     """
     if cap < 0:
         raise ValueError("cap must be non-negative")
-    spans, _, conflict, memo, on_cell = index
+    spans, _, conflict, memo, tables = index
     shift = len(spans)
-    outside = ~cells & ((1 << len(on_cell)) - 1)
-    flags = bin(outside)[:1:-1].encode().translate(_FLAGS)  # byte i is 1 iff cell i is outside
-    inside = ((1 << shift) - 1) & ~reduce(or_, compress(on_cell, flags), 0)
+    inside = ((1 << shift) - 1) & ~_table_or(tables, ~cells)
     deadline = None if clock is None else clock.deadline
     memo_get = memo.get
 
@@ -508,8 +514,7 @@ def solve_cellset_subproblem(
     return tuple(solution)
 
 
-@dataclass(frozen=True)
-class _Candidate:
+class _Candidate(NamedTuple):
     cells: int  # cell mask, see cell_mask
     solution: tuple[int, ...]
 
@@ -523,7 +528,6 @@ def _overrun(stage: str) -> BudgetExceededError:
 
 
 _COMPLEMENT = str.maketrans("01", "10")
-_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def _cell_order_key(mask: int) -> str:
@@ -554,7 +558,39 @@ def _bit_columns(rows: Sequence[int], width: int) -> list[int]:
     return [int("".join(col), 2) for col in zip(*digits)][::-1]
 
 
-def _candidate_family(index: tuple, c: int, clock: Optional[_Clock] = None) -> list[_Candidate]:
+def _or_tables(columns: Sequence[int]) -> list[list[int]]:
+    """Byte lookup tables for ORs of ``columns``, one table per 8 of them
+    (the "four Russians" table trick).
+
+    Entry x of table q is the OR of the columns 8q + j whose bit j is set in
+    x; the last table treats missing columns as 0. Each table is built by
+    doubling: 255 ORs per 8 columns.
+    """
+    tables = []
+    for base in range(0, len(columns), 8):
+        table = [0]
+        for col in columns[base : base + 8]:
+            table += [entry | col for entry in table]
+        tables.append(table * (256 // len(table)))
+    return tables
+
+
+def _table_or(tables: Sequence[Sequence[int]], mask: int) -> int:
+    """OR of the columns behind ``tables`` whose bits are set in ``mask``.
+
+    One lookup per byte of ``mask``; bits with no column are ignored, so a
+    complement ``~cells`` reads as the columns not in ``cells``.
+    """
+    acc = 0
+    n = len(tables)
+    for table, byte in zip(tables, (mask & ((1 << 8 * n) - 1)).to_bytes(n, "little")):
+        acc |= table[byte]
+    return acc
+
+
+def _solved_footprints(
+    index: tuple, c: int, clock: Optional[_Clock] = None
+) -> dict[int, tuple[int, ...]]:
     """Footprints of cell-connected independent subsets, solved under cap c.
 
     Every union of blocks worth value v contains an independent subset of v
@@ -566,11 +602,9 @@ def _candidate_family(index: tuple, c: int, clock: Optional[_Clock] = None) -> l
     masks. Disconnected unions split into equivalent separate candidates.
     Each distinct footprint, in order of discovery, is solved once through
     ``solve_cellset_subproblem`` on the same index, so the footprints share
-    its memo. The family is sorted by -value, then by ascending cell list
-    (``_cell_order_key``); a cell's bit index orders cells as (col, row)
-    does, and footprints are distinct, so no two candidates tie. Each
-    candidate's key is built once, at the head of a tuple that also carries
-    its cells and solution, and the tuples are sorted.
+    its memo. Returns footprint -> solution, in discovery order, for the
+    footprints whose solution is not empty; their order does not matter to
+    ``kernel_misr``, which takes the union of the solutions.
 
     ``clock``, if given, bounds the whole family: ``grow`` reads its
     deadline inline every 256th frame, the footprint loop every 256th
@@ -606,15 +640,36 @@ def _candidate_family(index: tuple, c: int, clock: Optional[_Clock] = None) -> l
     for root in range(n):
         grow(-2 << root, 1, spans[root], shares[root], 0, conflict[root])
 
-    out = []
-    for solved, cells in enumerate(footprints, 1):
-        if deadline is not None and solved % 256 == 0 and time.monotonic() > deadline:
+    solved = {}
+    for count, cells in enumerate(footprints, 1):
+        if deadline is not None and count % 256 == 0 and time.monotonic() > deadline:
             raise _overrun("capped MIS")
         sol = solve_cellset_subproblem(index, cells, c, clock)
         if sol:
-            out.append((-len(sol), _cell_order_key(cells), cells, sol))
-    out.sort()  # the first two entries never tie, so cells and sol are never compared
-    return [_Candidate(cells, sol) for _, _, cells, sol in out]
+            solved[cells] = sol
+    return solved
+
+
+def _candidate_family(index: tuple, c: int, clock: Optional[_Clock] = None) -> list[_Candidate]:
+    """The ``_solved_footprints`` as candidates, in set-packing order.
+
+    The family is sorted by -value, then by ascending cell list: per value,
+    from the largest down, one bucket of footprints sorted with the key
+    function ``_cell_order_key``, whose all-string keys take the sort's
+    string fast path. A cell's bit index orders cells as (col, row) does,
+    and footprints are distinct, so no two keys tie. ``clock`` is passed to
+    ``_solved_footprints``.
+    """
+    solved = _solved_footprints(index, c, clock)
+    buckets: dict[int, list[int]] = {}
+    for cells, sol in solved.items():
+        buckets.setdefault(len(sol), []).append(cells)
+    family = []
+    for value in sorted(buckets, reverse=True):
+        bucket = buckets[value]
+        bucket.sort(key=_cell_order_key)
+        family += [_Candidate(cells, solved[cells]) for cells in bucket]
+    return family
 
 
 def _max_disjoint_collection(
@@ -628,9 +683,10 @@ def _max_disjoint_collection(
     are one int over positions (bit p for candidate p), and the search
     visits only its lowest bit. An include clears the positions whose cells
     meet the candidate's: the OR of per-cell masks over positions (one
-    ``_bit_columns`` transpose of the cell masks), built on the position's
-    first include by C-level ``compress`` and ``reduce``, which add no
-    Python frame to the recursion. A skip clears the position itself. The
+    ``_bit_columns`` transpose of the cell masks, made into ``_or_tables``),
+    built on the position's first include by a loop of one table lookup per
+    byte of its cell mask, written out in ``rec`` so that it adds no Python
+    frame to the recursion. A skip clears the position itself. The
     bound on what the remaining picks can add is the sum of the next
     k - picks values, read from prefix sums; that window sum never grows
     with the position, so a blocked position jumped over would prune no
@@ -658,8 +714,9 @@ def _max_disjoint_collection(
     prefix += [prefix[-1]] * k  # the bound may look past the last candidate
     masks = [cd.cells for cd in cands]
     sols = [cd.solution for cd in cands]
-    # cell -> positions of the candidates covering it
-    on_cell = _bit_columns(masks, max(masks, default=0).bit_length())
+    # per 8 cells, any cell subset -> positions of the candidates covering it
+    cell_tables = _or_tables(_bit_columns(masks, max(masks, default=0).bit_length()))
+    n_bytes = len(cell_tables)
     hits = [0] * len(cands)  # position -> positions meeting its cells; 0 until built
     best_total = 0
     best_sol: tuple[int, ...] = ()
@@ -683,8 +740,10 @@ def _max_disjoint_collection(
             if inc_total > best_total or ordered < best_sol:
                 best_total, best_sol = inc_total, ordered
         if not hits[pos]:
-            flags = bin(masks[pos])[:1:-1].encode().translate(_FLAGS)  # byte i is 1 iff cell i is covered
-            hits[pos] = reduce(or_, compress(on_cell, flags))
+            hit = 0  # _table_or, written out: a call here would cost a frame of depth
+            for table, byte in zip(cell_tables, masks[pos].to_bytes(n_bytes, "little")):
+                hit |= table[byte]
+            hits[pos] = hit
         rec(free & ~hits[pos], picks + 1, inc_total, inc_sol)
         rec(free ^ low, picks, total, sol)
 
@@ -794,11 +853,11 @@ def kernel_misr(
             {"c": cap_c, "k": k, "grid_shortcut": True},
         )
     clock = None if budget is None else budget.start_clock()
-    cands = _candidate_family(cell_index(inst, outcome.grid), cap_c, clock)
+    solved = _solved_footprints(cell_index(inst, outcome.grid), cap_c, clock)
     kernel: set[int] = set()
-    for cand in cands:
-        kernel.update(cand.solution)
+    for sol in solved.values():
+        kernel.update(sol)
     return KernelReport(
         tuple(sorted(kernel)),
-        {"c": cap_c, "k": k, "grid_shortcut": False, "candidates": len(cands)},
+        {"c": cap_c, "k": k, "grid_shortcut": False, "candidates": len(solved)},
     )

@@ -406,7 +406,7 @@ def test_capped_mis_matches_include_first_search():
             sum(1 << i for i, span in enumerate(spans) if span >> j & 1)
             for j in range(max(spans).bit_length())
         )
-        assert index == (spans, shares, conflict, {}, on_cell), seed
+        assert index == (spans, shares, conflict, {}, tuple(misr._or_tables(on_cell))), seed
         n_cells = grid.n_cols * grid.n_rows
         masks = [0, (1 << n_cells) - 1] + [
             rng.getrandbits(n_cells) | rng.getrandbits(n_cells) for _ in range(3)
@@ -446,13 +446,13 @@ def test_inside_mask_matches_span_scan(monkeypatch):
         index = cell_index(inst, grid)
         footprints.clear()
         misr._candidate_family(index, cap)
-        spans, shares, _, _, on_cell = index
-        width = len(on_cell)
-        assert width == max(spans).bit_length() <= grid.n_cols * grid.n_rows
+        spans, shares, _, _, tables = index
+        width = max(spans).bit_length()
+        assert len(tables) == -(-width // 8) and width <= grid.n_cols * grid.n_rows
         masks = footprints + [rng.getrandbits(width) for _ in range(40)]
         masks += [rng.getrandbits(width + 9) | 1 << width + rng.randrange(9) for _ in range(40)]
         masks += [0, (1 << width) - 1, (1 << width + 5) - 1, 1 << width]
-        unblocked = (spans, shares, (0,) * inst.n, {}, on_cell)
+        unblocked = (spans, shares, (0,) * inst.n, {}, tables)
         for cells in masks:
             inside = tuple(i for i, span in enumerate(spans) if not span & ~cells)
             assert real(unblocked, cells, inst.n) == inside, (seed, cells)
@@ -585,6 +585,44 @@ def test_bit_columns_match_bit_loop():
         assert misr._bit_columns([0] * 5, width) == [0] * width
         assert misr._bit_columns([], width) == [0] * width
     assert misr._bit_columns([], 0) == []
+
+
+def _tables_referee(columns):
+    """Per 8 columns, entry x: the OR of the columns whose bit is set in x."""
+    tables = []
+    for base in range(0, len(columns), 8):
+        table = []
+        for x in range(256):
+            entry = 0
+            for j, col in enumerate(columns[base : base + 8]):
+                if x >> j & 1:
+                    entry |= col
+            table.append(entry)
+        tables.append(table)
+    return tuple(tables)
+
+
+def test_table_or_matches_bit_loop():
+    """The byte tables and their OR against the columns ORed bit by bit, at
+    column counts around a byte's 8, on masks with bits above the last
+    column and on complements, which read as the columns not in the mask."""
+    rng = random.Random(5)
+    for n_cols in (0, 1, 7, 8, 9, 37):
+        for n_bits in (1, 22, 130):
+            columns = [rng.getrandbits(n_bits) for _ in range(n_cols)]
+            tables = misr._or_tables(columns)
+            assert tuple(tables) == _tables_referee(columns), (n_cols, n_bits)
+            masks = [0, (1 << n_cols) - 1, 1 << n_cols, (1 << n_cols + 11) - 1]
+            masks += [rng.getrandbits(n_cols + 20) for _ in range(30)]
+            masks += [rng.getrandbits(n_cols) | 1 << n_cols + rng.randrange(20) for _ in range(30)]
+            for mask in masks + [~mask for mask in masks]:
+                expect = 0
+                for j, col in enumerate(columns):
+                    if mask >> j & 1:
+                        expect |= col
+                assert misr._table_or(tables, mask) == expect, (n_cols, n_bits, mask)
+    empty = MisrInstance(())
+    assert cell_index(empty, build_grid(empty, 1).grid)[4] == ()
 
 
 def test_cell_order_key_orders_as_cell_lists():
@@ -814,6 +852,58 @@ def test_set_packing_node_count():
     res = pas_misr(inst, 9, Fraction(1, 2), c=9)  # 9 = OPT = the realized cap
     assert (res.best_total, res.metadata["candidates"]) == (9, 888)
     assert res.metadata["set_packing_nodes"] == 5359
+
+
+# The 14 bench instances (gen_misr(n=22, seed, span=16, max_side=9)) with
+# their optimum, realized cap, the set packing's (best total, union, frames)
+# at k = OPT, which k = OPT + 1 repeats, and the kernel at k = OPT. None
+# marks the two instances whose set packing overflows the stack.
+SET_PACKING_PINS = [
+    (0, 8, 8, (8, (0, 2, 3, 4, 5, 7, 14, 18), 3761),
+     (0, 1, 2, 3, 4, 5, 6, 7, 8, 10, 11, 12, 13, 14, 15, 18, 19, 20)),
+    (1, 8, 8, (8, (0, 2, 4, 5, 6, 8, 9, 11), 4261),
+     (0, 2, 3, 4, 5, 6, 7, 8, 9, 11, 12, 13, 16, 21)),
+    (2, 9, 5, (9, (0, 1, 2, 4, 6, 9, 10, 14, 15), 1779),
+     (0, 1, 2, 3, 4, 6, 7, 9, 10, 12, 13, 14, 15)),
+    (3, 7, 7, (7, (2, 5, 12, 13, 14, 19, 20), 1327),
+     (0, 1, 2, 3, 5, 7, 8, 9, 12, 13, 14, 18, 19, 20, 21)),
+    (4, 9, 9, (9, (1, 3, 5, 6, 8, 9, 15, 19, 20), 3047),
+     (1, 3, 4, 5, 6, 7, 8, 9, 11, 12, 15, 16, 19, 20)),
+    (5, 9, 9, (9, (2, 5, 6, 7, 8, 9, 14, 19, 21), 5359),
+     (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 14, 15, 16, 18, 19, 20, 21)),
+    (6, 8, 7, (8, (0, 1, 3, 4, 5, 11, 15, 20), 4883),
+     (0, 1, 2, 3, 4, 5, 6, 7, 8, 11, 12, 13, 14, 15, 20)),
+    (7, 9, 7, None,
+     (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 15, 16, 19)),
+    (8, 9, 9, (9, (1, 3, 5, 6, 8, 10, 12, 13, 17), 4999),
+     (0, 1, 2, 3, 4, 5, 6, 7, 8, 10, 12, 13, 15, 17)),
+    (9, 10, 9, (10, (1, 2, 3, 7, 8, 11, 12, 13, 17, 21), 4959),
+     (0, 1, 2, 3, 5, 7, 8, 11, 12, 13, 16, 17, 21)),
+    (10, 8, 6, (8, (1, 2, 4, 5, 16, 17, 18, 19), 2803),
+     (0, 1, 2, 3, 4, 5, 6, 8, 9, 10, 12, 14, 15, 16, 17, 18, 19)),
+    (11, 11, 11, None,
+     (1, 2, 3, 4, 5, 6, 7, 9, 11, 13, 14, 15, 16, 17, 18, 20)),
+    (12, 7, 5, (7, (4, 5, 7, 8, 9, 11, 15), 1657),
+     (0, 1, 2, 3, 4, 5, 7, 8, 9, 10, 11, 12, 15, 16, 19)),
+    (13, 8, 7, (8, (0, 1, 4, 6, 7, 12, 18, 19), 3515),
+     (0, 1, 2, 3, 4, 5, 6, 7, 10, 12, 14, 18, 19, 20, 21)),
+]
+
+
+def test_set_packing_and_kernel_pinned_on_bench_corpus():
+    """Set packing over each bench family, grown on the grid of k as
+    pas_misr grows it, and the kernel, against the pinned values."""
+    for seed, opt, cap, packing, kernel in SET_PACKING_PINS:
+        inst = normalize_instance(gen_misr(n=22, seed=seed, span=16, max_side=9).instance)
+        best = mis_rectangles_exact(inst, MISR_BUDGET)
+        grid = build_grid(inst, opt).grid
+        assert (len(best), structured_solution(best, grid, inst, Fraction(1, 2)).max_group) == (opt, cap)
+        assert kernel_misr(inst, opt, Fraction(1, 2), c=cap).indices == kernel, seed
+        if packing is None:
+            continue
+        for k in (opt, opt + 1):
+            family = misr._candidate_family(cell_index(inst, build_grid(inst, k).grid), cap)
+            assert misr._max_disjoint_collection(family, k) == packing, (seed, k)
 
 
 def test_kernel_grid_shortcut():
