@@ -27,7 +27,7 @@ from .planar import (
     VertexDrawing,
     apply_separator,
     balanced_separator,
-    check_drawing_planar,
+    planarity_violations,
 )
 from .misr import (
     Grid,
@@ -43,7 +43,6 @@ from .misr import (
 )
 from .gknap import (
     Classification,
-    VisibilityGraph,
     build_visibility_graph,
     classify_items,
     find_separating_path,

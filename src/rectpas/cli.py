@@ -139,6 +139,8 @@ def _parse_ints(text: str) -> list[int]:
 
 
 def _cmd_gen(args) -> int:
+    if args.kind == "figure3" and args.k is None:
+        raise _UsageError("gen figure3 needs --k")
     params = {"seed": args.seed, "n": args.n}
     if args.kind == "misr":
         params.update(span=args.span, planted=args.planted)
@@ -282,8 +284,12 @@ def _cmd_verify(args) -> int:
         if inst_file.kind != "gknap" or "mss" not in meta:
             print("not a reduction output: missing mss metadata")
             return EXIT_INVALID
-        mss = meta["mss"]
-        expected = hardness.reduce_mss_to_2dkr(mss["xs"], mss["t"], mss["k"])
+        mss = meta["mss"] if isinstance(meta["mss"], dict) else {}
+        xs, t, k = mss.get("xs"), mss.get("t"), mss.get("k")
+        if not isinstance(xs, list) or not all(isinstance(v, int) for v in (*xs, t, k)):
+            print("not a reduction output: mss metadata needs integer xs, t and k")
+            return EXIT_INVALID
+        expected = hardness.reduce_mss_to_2dkr(xs, t, k)
         same = (
             expected.instance == inst_file.instance
             and expected.k_prime == meta.get("k_prime")

@@ -63,6 +63,8 @@ class InstanceFile:
     def from_payload(cls, payload: Mapping[str, Any]) -> "InstanceFile":
         kind = payload.get("type")
         meta = payload.get("metadata", {})
+        if not isinstance(meta, dict):
+            raise FileFormatError(f"metadata must be a JSON object, got {type(meta).__name__}")
         try:
             if kind == "misr":
                 inst = MisrInstance.from_coords(payload["rects"])

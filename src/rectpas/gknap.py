@@ -99,52 +99,6 @@ def classify_items(
 # Visibility graph over placed large items
 
 
-@dataclass(frozen=True, slots=True)
-class Arc:
-    """Directed visibility arc: ``dst`` sits above ``src``.
-
-    The witness is a vertical segment at ``x`` of length ``gap`` joining the
-    top of src to the bottom of dst without meeting any other item's
-    interior.
-    """
-
-    src: int
-    dst: int
-    x: Coord
-    gap: Coord
-
-
-@dataclass(frozen=True)
-class VisibilityGraph:
-    """Vertices are placement indices of a packing; arcs point upward."""
-
-    vertices: tuple[int, ...]
-    arcs: tuple[Arc, ...]
-
-    def successors(self) -> dict[int, list[int]]:
-        out: dict[int, list[int]] = {v: [] for v in self.vertices}
-        for a in self.arcs:
-            out[a.src].append(a.dst)
-        return out
-
-    def arc_lookup(self) -> dict[tuple[int, int], Arc]:
-        return {(a.src, a.dst): a for a in self.arcs}
-
-    def to_embedded(self, packing: Packing, items: Sequence[Item]) -> EmbeddedGraph:
-        """Drawing: items as boxes, arcs as their witness vertical segments."""
-        vertices = {}
-        for v in self.vertices:
-            pl = packing.placements[v]
-            x1, y1, x2, y2 = pl.box(items[pl.item])
-            vertices[v] = VertexDrawing.box(Box(x1, y1, x2, y2))
-        edges = []
-        for a in self.arcs:
-            src = packing.placements[a.src].box(items[packing.placements[a.src].item])
-            dst = packing.placements[a.dst].box(items[packing.placements[a.dst].item])
-            edges.append((a.src, a.dst, Segment(a.x, src[3], a.x, dst[1])))
-        return EmbeddedGraph(vertices, tuple(edges))
-
-
 def _candidate_xs(lo: Coord, hi: Coord, cuts: Iterable[Coord]) -> list[Coord]:
     """Interior cut points plus one representative per elementary interval.
 
@@ -157,27 +111,24 @@ def _candidate_xs(lo: Coord, hi: Coord, cuts: Iterable[Coord]) -> list[Coord]:
     return sorted({*pts[1:-1], *mids})
 
 
-def build_visibility_graph(
-    packing: Packing,
-    items: Sequence[Item],
-    gap: Fraction,
-    vertices: Optional[Sequence[int]] = None,
-) -> VisibilityGraph:
+def build_visibility_graph(packing: Packing, items: Sequence[Item], gap: Fraction) -> EmbeddedGraph:
     """Connect placements whose vertical distance is at most ``gap``.
 
-    An arc src -> dst needs an x strictly inside both horizontal projections
-    where the open segment between src's top and dst's bottom meets no other
-    placed item's interior. Projections that share only a boundary point
-    give no arc; a corner touch neither blocks an upward slide nor supports
-    a crossing-free witness. Candidate x values come from the elementary
+    Vertices are placement indices, each drawn as its item's box. An edge
+    (src, dst, witness) points upward: the witness is the vertical segment
+    at some x from src's top to dst's bottom. The x lies strictly inside
+    both horizontal projections, and the open witness meets no other placed
+    item's interior. Projections that share only a boundary point give no
+    edge; a corner touch neither blocks an upward slide nor supports a
+    crossing-free witness. Candidate x values come from the elementary
     intervals induced by all items' left and right edges, since blocker
     status is constant on each open interval. The first valid candidate is
-    recorded as witness.
+    the witness. Items have positive height, so no pair gets edges both ways.
     """
-    verts = tuple(vertices) if vertices is not None else tuple(range(len(packing.placements)))
-    boxes = {v: packing.placements[v].box(items[packing.placements[v].item]) for v in verts}
-    edges_x = sorted({c for b in boxes.values() for c in (b[0], b[2])})
-    arcs: list[Arc] = []
+    verts = range(len(packing.placements))
+    boxes = [pl.box(items[pl.item]) for pl in packing.placements]
+    edges_x = sorted({c for b in boxes for c in (b[0], b[2])})
+    edges: list[tuple[int, int, Segment]] = []
     for src in verts:
         sx1, _, sx2, stop = boxes[src]
         for dst in verts:
@@ -194,9 +145,10 @@ def build_visibility_graph(
                 continue
             for x in _candidate_xs(lo, hi, edges_x):
                 if d == 0 or not _segment_blocked(boxes, verts, (src, dst), x, stop, dbot):
-                    arcs.append(Arc(src, dst, x, d))
+                    edges.append((src, dst, Segment(x, stop, x, dbot)))
                     break
-    return VisibilityGraph(verts, tuple(arcs))
+    drawings = {v: VertexDrawing.box(Box(*boxes[v])) for v in verts}
+    return EmbeddedGraph(drawings, tuple(edges))
 
 
 def _segment_blocked(boxes, verts, endpoints, x, y_lo, y_hi) -> bool:
@@ -248,11 +200,10 @@ def push_up(packing: Packing, items: Sequence[Item]) -> Packing:
 
 
 def find_separating_path(
-    vg: VisibilityGraph,
+    vg: EmbeddedGraph,
     packing: Packing,
     items: Sequence[Item],
     strip_height: Fraction,
-    survivors: Optional[Iterable[int]] = None,
 ) -> Optional[tuple[int, ...]]:
     """BFS path from a bottom-strip item to an item near the top edge.
 
@@ -261,12 +212,13 @@ def find_separating_path(
     ``strip_height`` of the top edge, because any item that can still move
     up would contradict the fixpoint.
     """
-    alive = set(vg.vertices if survivors is None else survivors)
-    boxes = {v: packing.placements[v].box(items[packing.placements[v].item]) for v in alive}
-    starts = sorted(v for v in alive if boxes[v][1] < strip_height)
+    boxes = {v: packing.placements[v].box(items[packing.placements[v].item]) for v in vg.vertices}
+    starts = sorted(v for v in vg.vertices if boxes[v][1] < strip_height)
     if not starts:
         return None
-    succ = vg.successors()
+    succ: dict[int, list[int]] = {v: [] for v in vg.vertices}
+    for src, dst, _ in vg.edges:
+        succ[src].append(dst)
     start = starts[0]
     parent: dict[int, Optional[int]] = {start: None}
     queue = deque([start])
@@ -276,8 +228,8 @@ def find_separating_path(
         if packing.N - boxes[v][3] < strip_height:
             goal = v
             break
-        for u in sorted(succ.get(v, ())):
-            if u in alive and u not in parent:
+        for u in sorted(succ[v]):
+            if u not in parent:
                 parent[u] = v
                 queue.append(u)
     if goal is None:
@@ -339,7 +291,6 @@ def free_strip(
     instance: GknapInstance,
     packing: Packing,
     epsilon: Fraction | float,
-    k_floor: Optional[int] = None,
 ) -> FreeStripResult:
     """Rearrange a feasible k-item packing to clear the bottom strip.
 
@@ -351,7 +302,7 @@ def free_strip(
     N = instance.N
     items = instance.items
     k = packing.size
-    floor_k = default_k_floor(epsilon) if k_floor is None else k_floor
+    floor_k = default_k_floor(epsilon)
     if k < floor_k:
         raise ValueError(
             f"packing of size {k} is below the k floor {floor_k}; solve exactly instead"
@@ -384,7 +335,7 @@ def free_strip(
     large_pl = [by_index[i] for i in packed if i in cl.large]
     working = Packing(N, tuple(large_pl))
 
-    division = apply_separator(build_visibility_graph(working, items, gap).successors(), epsilon)
+    division = apply_separator(build_visibility_graph(working, items, gap).adjacency(), epsilon)
     sep_removed = tuple(
         sorted(working.placements[v].item for v in division.removed)
     )
@@ -409,13 +360,12 @@ def free_strip(
     vg1 = build_visibility_graph(pushed, items, gap)
     path = find_separating_path(vg1, pushed, items, gap)
     assert path is not None
-    arc_of = vg1.arc_lookup()
+    witness_x = {(src, dst): seg.x1 for src, dst, seg in vg1.edges}
 
     deletion_boxes: list[tuple[Fraction, Fraction, Fraction, Fraction]] = []
     for a, b in zip(path, path[1:]):
-        arc = arc_of[(a, b)]
         y_lo, y_hi = boxes[a][3], boxes[b][1]
-        x_left = max(Fraction(0), arc.x - gap)
+        x_left = max(Fraction(0), witness_x[(a, b)] - gap)
         deletion_boxes.append((x_left, y_lo, x_left + gap, y_hi))
     first_box, last_box = boxes[path[0]], boxes[path[-1]]
     x_left = min(first_box[0], N - gap)

@@ -360,10 +360,10 @@ def structured_solution(
     if not sol:
         return Grouping((), frozenset(), 0, 0)
     g1 = build_G1(sol, grid, inst)
-    div1 = apply_separator(g1, eps / 2)
+    div1 = apply_separator(g1.adjacency(), eps / 2)
     c1 = max(div1.max_component, 1)
     g2 = build_G2(div1, sol, grid, inst)
-    div2 = apply_separator(g2, eps / (2 * c1))
+    div2 = apply_separator(g2.adjacency(), eps / (2 * c1))
     c2 = max(div2.max_component, 1)
 
     comp_members: dict[int, list[int]] = {ci: sorted(c) for ci, c in enumerate(div1.components)}
@@ -797,15 +797,7 @@ def pas_misr(
     cap_c = theory_cap(eps) if c is None else c
     if cap_c < 1:
         raise ValueError(f"c must be positive, got {cap_c}")
-    threshold = max(ceil((1 - eps) * k), 0)
-    meta: dict[str, object] = {
-        "k": k,
-        "epsilon": eps,
-        "c": cap_c,
-        "threshold": threshold,
-        "decision_rule": "positive iff best total >= k",
-        "assertion_sound_under": "theory knob mapping",
-    }
+    meta: dict[str, object] = {"k": k, "epsilon": eps, "c": cap_c}
     outcome = build_grid(inst, k)
     if not outcome.is_grid:
         meta["branch"] = "grid-witness"

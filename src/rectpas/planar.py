@@ -11,14 +11,13 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .geometry import Coord, as_epsilon
 
 # Separator quality constant: a component cap of ceil(C_IMPL / eps'^2) keeps
 # the removed fraction below eps' on the calibration corpus of random planar
-# graphs (Delaunay triangulations, n in [50, 500], 200 seeds). Callers may
-# override the cap directly.
+# graphs (Delaunay triangulations, n in [50, 500], 200 seeds).
 C_IMPL = 24
 
 
@@ -213,17 +212,13 @@ def _segment_crosses_open_box(seg: Segment, box: Box) -> bool:
     return box.x1 < seg.x1 + tm * dx < box.x2 and box.y1 < seg.y1 + tm * dy < box.y2
 
 
-def check_drawing_planar(g: EmbeddedGraph) -> bool:
-    """Verify that a drawn graph is actually drawn without crossings.
+def planarity_violations(g: EmbeddedGraph) -> list[str]:
+    """Every reason the drawing is not crossing-free; empty when it is.
 
     Two edge segments may only meet at a point covered by a drawing of a
     vertex both edges are incident to, and no edge segment may pass through
     the open interior of a box of a non-incident vertex.
     """
-    return not planarity_violations(g)
-
-
-def planarity_violations(g: EmbeddedGraph) -> list[str]:
     for v in g.vertices:
         if g.vertices[v] is None:
             raise ValueError(f"vertex {v} has no drawing")
@@ -257,12 +252,7 @@ def planarity_violations(g: EmbeddedGraph) -> list[str]:
 # Separators and r-divisions
 
 
-AdjacencyLike = Union[EmbeddedGraph, Mapping[int, Iterable[int]]]
-
-
-def _adjacency(g: AdjacencyLike) -> dict[int, set[int]]:
-    if isinstance(g, EmbeddedGraph):
-        return g.adjacency()
+def _adjacency(g: Mapping[int, Iterable[int]]) -> dict[int, set[int]]:
     adj = {v: set(ns) for v, ns in g.items()}
     for v, ns in adj.items():
         ns.discard(v)
@@ -309,13 +299,14 @@ def _bfs_levels(adj: Mapping[int, set[int]], root: int, within: set[int]) -> lis
         levels.append(nxt)
 
 
-def balanced_separator(g: AdjacencyLike) -> frozenset[int]:
+def balanced_separator(g: Mapping[int, Iterable[int]]) -> frozenset[int]:
     """BFS-level separator: removing it leaves components of <= ceil(2n/3).
 
-    Prefers the smallest feasible level, breaking ties towards balance. When
-    no single level balances the graph, the two levels at the 1/3 and 2/3
-    BFS mass quantiles are removed together, which always satisfies the
-    component bound.
+    Returns the smallest feasible level, breaking ties towards balance. One
+    always exists. Let m be the size of the largest component and take the
+    first BFS level at which the cumulative size reaches m/3. The levels
+    before it are connected through the root and hold fewer than m/3
+    vertices; the levels after it hold at most 2m/3 <= ceil(2n/3).
     """
     adj = _adjacency(g)
     n = len(adj)
@@ -341,25 +332,7 @@ def balanced_separator(g: AdjacencyLike) -> frozenset[int]:
             key = (len(rm), worst, i)
             if best is None or key < best[0]:
                 best = (key, rm)
-    if best is not None:
-        return frozenset(best[1])
-
-    # Fallback: cut at the 1/3 and 2/3 cumulative-size levels.
-    cum = 0
-    lo = hi = len(levels) - 1
-    third = len(big) / 3
-    for i, level in enumerate(levels):
-        cum += len(level)
-        if cum >= third:
-            lo = i
-            break
-    cum = 0
-    for i, level in enumerate(levels):
-        cum += len(level)
-        if cum >= 2 * third:
-            hi = i
-            break
-    return frozenset(levels[lo]) | frozenset(levels[hi])
+    return frozenset(best[1])
 
 
 @dataclass(frozen=True)
@@ -387,11 +360,7 @@ def component_cap_for(epsilon_prime: Fraction | float) -> int:
     return max(1, -(-C_IMPL * eps.denominator**2 // eps.numerator**2))
 
 
-def apply_separator(
-    g: AdjacencyLike,
-    epsilon_prime: Fraction | float,
-    component_cap: Optional[int] = None,
-) -> Division:
+def apply_separator(g: Mapping[int, Iterable[int]], epsilon_prime: Fraction | float) -> Division:
     """Split a graph into components of bounded size by removing vertices.
 
     Components larger than the cap are split recursively with
@@ -400,9 +369,7 @@ def apply_separator(
     never leaves an edge between two distinct components.
     """
     adj = _adjacency(g)
-    cap = component_cap if component_cap is not None else component_cap_for(epsilon_prime)
-    if cap < 1:
-        raise ValueError("component cap must be positive")
+    cap = component_cap_for(epsilon_prime)
     removed: set[int] = set()
     done: list[set[int]] = []
     queue = _components(adj)
@@ -412,11 +379,9 @@ def apply_separator(
             done.append(comp)
             continue
         sub = {v: adj[v] & comp for v in comp}
+        # eps' <= 1 keeps the cap at 24 or more, so comp is a connected
+        # graph on more than 2 vertices and its separator is never empty.
         sep = balanced_separator(sub)
-        if not sep:
-            # Cannot happen for cap >= 2 since |comp| > cap implies n >= 3,
-            # but guard against an infinite loop on adversarial caps.
-            sep = frozenset([min(comp)])
         removed.update(sep)
         queue.extend(_components(adj, comp - sep))
     components = tuple(

@@ -57,7 +57,7 @@ from rectpas.oracles import (
     packing_feasible_exact,
     packing_feasible_scan,
 )
-from rectpas.planar import apply_separator, check_drawing_planar
+from rectpas.planar import apply_separator, planarity_violations
 from rectpas.svg import render_svg
 from tests.conftest import GKNAP_BUDGET, MISR_BUDGET, chunky_gknap
 
@@ -112,11 +112,11 @@ def test_criterion_2_embedding_planarity(misr_corpus10, gknap_corpus5):
             continue
         checked_g += 1
         g1 = build_G1(opt, out.grid, inst)
-        if not check_drawing_planar(g1):
+        if planarity_violations(g1):
             failures += 1
-        div = apply_separator(g1, 0.25)
+        div = apply_separator(g1.adjacency(), 0.25)
         g2 = build_G2(div, opt, out.grid, inst)
-        if not check_drawing_planar(g2):
+        if planarity_violations(g2):
             failures += 1
     checked_v = 0
     for seed, inst, subset, placements in gknap_corpus5:
@@ -127,7 +127,7 @@ def test_criterion_2_embedding_planarity(misr_corpus10, gknap_corpus5):
         gap = Fraction(inst.N, max(len(placements), 2) ** cl.B)
         vg = build_visibility_graph(packing, inst.items, gap)
         checked_v += 1
-        if not check_drawing_planar(vg.to_embedded(packing, inst.items)):
+        if planarity_violations(vg):
             failures += 1
     _report(
         2,

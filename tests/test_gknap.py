@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 from math import ceil
@@ -28,7 +29,7 @@ from rectpas.gknap import (
 )
 from rectpas import oracles
 from rectpas.oracles import BudgetExceededError, OracleBudget, knapsack_exact
-from rectpas.planar import check_drawing_planar
+from rectpas.planar import planarity_violations
 from tests.conftest import GKNAP_BUDGET, chunky_gknap
 
 
@@ -95,8 +96,8 @@ def test_visibility_touching_stack():
     items = [Item(4, 2), Item(4, 2)]
     packing = _packing(10, (0, 0, False), (0, 2, False))
     vg = build_visibility_graph(packing, items, Fraction(3))
-    arcs = {(a.src, a.dst): a for a in vg.arcs}
-    assert (0, 1) in arcs and arcs[(0, 1)].gap == 0
+    witness = {(src, dst): seg for src, dst, seg in vg.edges}
+    assert (0, 1) in witness and witness[(0, 1)].y1 == witness[(0, 1)].y2
 
 
 def test_visibility_blocked_by_full_cover():
@@ -104,7 +105,7 @@ def test_visibility_blocked_by_full_cover():
     items = [Item(4, 2), Item(4, 2), Item(12, 1)]
     packing = _packing(12, (2, 0, False), (2, 5, False), (0, 3, False))
     vg = build_visibility_graph(packing, items, Fraction(4))
-    pairs = {(a.src, a.dst) for a in vg.arcs}
+    pairs = {(src, dst) for src, dst, _ in vg.edges}
     assert (0, 1) not in pairs  # the wide middle item blocks every x
     assert (0, 2) in pairs and (2, 1) in pairs
 
@@ -113,7 +114,7 @@ def test_visibility_gap_bound():
     items = [Item(4, 2), Item(4, 2)]
     packing = _packing(20, (0, 0, False), (0, 10, False))
     vg = build_visibility_graph(packing, items, Fraction(3))
-    assert not vg.arcs
+    assert not vg.edges
 
 
 def test_visibility_witnesses_validate():
@@ -126,21 +127,20 @@ def test_visibility_witnesses_validate():
         gap = Fraction(5000, 8)
         vg = build_visibility_graph(packing, items, gap)
         boxes = [pl.box(items[pl.item]) for pl in packing.placements]
-        for a in vg.arcs:
-            src, dst = boxes[a.src], boxes[a.dst]
-            assert 0 <= a.gap <= gap
-            assert a.gap == dst[1] - src[3]
-            assert src[0] < a.x < src[2] and dst[0] < a.x < dst[2]
+        for s, d, seg in vg.edges:
+            src, dst = boxes[s], boxes[d]
+            assert seg.x1 == seg.x2 and (seg.y1, seg.y2) == (src[3], dst[1])
+            assert 0 <= seg.y2 - seg.y1 <= gap
+            assert src[0] < seg.x1 < src[2] and dst[0] < seg.x1 < dst[2]
             for v, box in enumerate(boxes):
-                if v in (a.src, a.dst):
+                if v in (s, d):
                     continue
-                blocked = box[0] < a.x < box[2] and not (
+                blocked = box[0] < seg.x1 < box[2] and not (
                     box[3] <= src[3] or box[1] >= dst[1]
                 )
-                assert not blocked, (seed, a)
-        emb = vg.to_embedded(packing, items)
-        assert check_drawing_planar(emb)
-        assert emb.validate_drawing_anchors()
+                assert not blocked, (seed, s, d)
+        assert not planarity_violations(vg)
+        assert vg.validate_drawing_anchors()
 
 
 # ---------------------------------------------------------------------------
@@ -255,6 +255,29 @@ def test_free_strip_rejects_small_k():
     with pytest.raises(ValueError):
         free_strip(inst, Packing(100, (Placement(0, 0, 0),)), 0.5)
     assert default_k_floor(0.5) == 8
+
+
+# sha256 of every free_strip report and output packing on packed_corpus50.
+FREE_STRIP_DIGEST = "20a238369eed81bc87089ebb2c00df1ccea14b9733d8708716d54ab617d26207"
+
+
+def test_free_strip_pinned_on_packed_corpus50(packed_corpus50):
+    """Strip freeing gives the pinned output: 47 push-up and 3 separating-path cases."""
+    rows = []
+    for inst, packing in packed_corpus50:
+        res = free_strip(inst, packing, 0.5)
+        rep = res.report
+        placements = sorted(
+            (pl.item, str(Fraction(pl.x)), str(Fraction(pl.y)), pl.rotated)
+            for pl in res.packing.placements
+        )
+        rows.append((
+            rep.branch, rep.B, str(rep.strip_height), rep.band_removed, rep.separator_removed,
+            rep.path, rep.deletion_casualties, placements,
+        ))
+    assert [r[0] for r in rows].count("push-up") == 47
+    assert [r[0] for r in rows].count("separating-path") == 3
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == FREE_STRIP_DIGEST
 
 
 # ---------------------------------------------------------------------------

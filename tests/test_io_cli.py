@@ -381,6 +381,43 @@ def test_cli_reduce_verify_render(tmp_path):
     assert out.read_text().count('class="placed"') == 41
 
 
+def test_cli_gen_figure3_without_k_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "f.json"
+    assert cli_dispatch(["gen", "figure3", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "usage error: gen figure3 needs --k\n"
+    assert not out.exists()
+
+
+def test_cli_metadata_not_an_object_is_a_format_error(tmp_path, capsys):
+    i = tmp_path / "i.json"
+    i.write_text(json.dumps({"type": "misr", "rects": [[0, 0, 1, 1]], "metadata": [1, 2]}))
+    with pytest.raises(fileio.FileFormatError):
+        fileio.load(i)
+    assert cli_dispatch(["render", str(i)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "metadata" in err
+
+
+def test_cli_verify_reduction_malformed_mss(tmp_path, capsys):
+    r = tmp_path / "r.json"
+    argv = ["reduce", "mss-to-2dkr", "--xs", "1,2,3,4", "--t", "10", "--k", "4", "--out", str(r)]
+    assert cli_dispatch(argv) == 0
+    payload = json.loads(r.read_text())
+    malformed = (
+        {"xs": [1, 2, 3, 4], "t": 10},
+        {"xs": [1, 2, 3, 4], "t": "10", "k": 4},
+        {"xs": 5, "t": 10, "k": 4},
+        [1],
+    )
+    for mss in malformed:
+        payload["metadata"]["mss"] = mss
+        r.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert cli_dispatch(["verify", "reduction", str(r)]) == 3, mss
+        captured = capsys.readouterr()
+        assert captured.out.startswith("not a reduction output: ") and not captured.err, mss
+
+
 def test_rotations_must_be_bool(tmp_path):
     g = tmp_path / "g.json"
     g.write_text(json.dumps({"type": "gknap", "N": 10, "items": [[3, 2]], "rotations": "no"}))

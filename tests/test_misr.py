@@ -36,7 +36,7 @@ from rectpas.oracles import (
     enumerate_cell_sets,
     mis_rectangles_exact,
 )
-from rectpas.planar import apply_separator, check_drawing_planar
+from rectpas.planar import apply_separator, planarity_violations
 from tests.conftest import MISR_BUDGET
 
 
@@ -172,7 +172,7 @@ def test_g1_shared_vertical_line_edge():
     assert len(g1.edges) == 1
     _, _, seg = g1.edges[0]
     assert seg.x1 == seg.x2  # vertical witness on the shared line
-    assert check_drawing_planar(g1)
+    assert not planarity_violations(g1)
     assert g1.validate_drawing_anchors()
 
 
@@ -187,7 +187,7 @@ def test_g1_rejects_infeasible_solution():
 def test_g2_single_component_no_edges():
     out = build_grid(STACK2, 3)
     g1 = build_G1((0, 1), out.grid, STACK2)
-    div = apply_separator(g1, 0.5)
+    div = apply_separator(g1.adjacency(), 0.5)
     g2 = build_G2(div, (0, 1), out.grid, STACK2)
     if len(div.components) == 1:
         assert not g2.edges
@@ -197,18 +197,18 @@ def test_g2_bl_tr_edge_across_components():
     inst = _inst((0, 0, 1, 1), (2, 2, 3, 3))
     out = build_grid(inst, 3)
     g1 = build_G1((0, 1), out.grid, inst)
-    div = apply_separator(g1, 0.5)
+    div = apply_separator(g1.adjacency(), 0.5)
     assert len(div.components) == 2  # G1 is edgeless here
     g2 = build_G2(div, (0, 1), out.grid, inst)
     assert len(g2.edges) == 1
-    assert check_drawing_planar(g2)
+    assert not planarity_violations(g2)
     assert g2.validate_drawing_anchors()
 
 
 def test_g2_disjoint_components_edgeless():
     out = build_grid(DIAGONAL3, 4)
     g1 = build_G1((0, 2), out.grid, DIAGONAL3)
-    div = apply_separator(g1, 0.5)
+    div = apply_separator(g1.adjacency(), 0.5)
     g2 = build_G2(div, (0, 2), out.grid, DIAGONAL3)
     assert not g2.edges
 
@@ -231,11 +231,11 @@ def test_embeddings_planar_on_arbitrary_feasible_solutions(misr_corpus6):
         if not out.is_grid:
             continue
         g1 = build_G1(greedy, out.grid, inst)
-        assert check_drawing_planar(g1), seed
+        assert not planarity_violations(g1), seed
         assert g1.validate_drawing_anchors()
-        div = apply_separator(g1, 0.25)
+        div = apply_separator(g1.adjacency(), 0.25)
         g2 = build_G2(div, greedy, out.grid, inst)
-        assert check_drawing_planar(g2), seed
+        assert not planarity_violations(g2), seed
 
 
 def test_structured_single_rect():
@@ -702,7 +702,7 @@ def test_theory_knob_mapping():
 def test_pas_epsilon_is_exact():
     res = pas_misr(DIAGONAL3, 10, 0.7, c=1)
     assert res.metadata["epsilon"] == Fraction(7, 10)
-    assert res.metadata["threshold"] == 3  # ceil(3/10 * 10); a float eps gives 4
+    assert 1 - res.metadata["epsilon"] == Fraction(3, 10)  # a float eps leaves 0.30000000000000004
     assert "float(" not in Path(misr.__file__).read_text()
 
 

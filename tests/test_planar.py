@@ -1,4 +1,6 @@
+import hashlib
 import random
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -10,7 +12,6 @@ from rectpas.planar import (
     VertexDrawing,
     apply_separator,
     balanced_separator,
-    check_drawing_planar,
     component_cap_for,
     planarity_violations,
     _segment_intersection,
@@ -30,7 +31,7 @@ def test_triangle_is_planar():
             (0, 2, Segment(0, 0, 2, 3)),
         ),
     )
-    assert check_drawing_planar(g)
+    assert not planarity_violations(g)
     assert g.validate_drawing_anchors()
 
 
@@ -39,7 +40,6 @@ def test_crossing_diagonals_rejected():
         {0: _pt(0, 0), 1: _pt(4, 4), 2: _pt(0, 4), 3: _pt(4, 0)},
         ((0, 1, Segment(0, 0, 4, 4)), (2, 3, Segment(0, 4, 4, 0))),
     )
-    assert not check_drawing_planar(g)
     assert planarity_violations(g)
 
 
@@ -48,7 +48,7 @@ def test_segment_through_foreign_vertex_rejected():
         {0: _pt(0, 0), 1: _pt(6, 0), 2: VertexDrawing.box(Box(2, -1, 4, 1))},
         ((0, 1, Segment(0, 0, 6, 0)),),
     )
-    assert not check_drawing_planar(g)
+    assert planarity_violations(g)
 
 
 def test_touch_at_shared_vertex_allowed():
@@ -56,13 +56,13 @@ def test_touch_at_shared_vertex_allowed():
         {0: _pt(0, 0), 1: _pt(4, 0), 2: _pt(0, 4)},
         ((0, 1, Segment(0, 0, 4, 0)), (0, 2, Segment(0, 0, 0, 4))),
     )
-    assert check_drawing_planar(g)
+    assert not planarity_violations(g)
 
 
 def test_missing_drawing_raises():
     g = EmbeddedGraph({0: _pt(0, 0), 1: None}, ())
     with pytest.raises(ValueError):
-        check_drawing_planar(g)
+        planarity_violations(g)
 
 
 def test_graph_validation_rejects_loops_and_parallel_edges():
@@ -177,7 +177,7 @@ def test_separator_contract_on_random_graphs():
 
 def test_apply_separator_small_graph_untouched():
     adj = _path(10)
-    div = apply_separator(adj, 0.5, component_cap=50)
+    div = apply_separator(adj, 0.5)  # cap 96
     assert not div.removed
     assert len(div.components) == 1
 
@@ -203,9 +203,64 @@ def test_apply_separator_empty_graph():
 
 def test_apply_separator_forced_splits():
     adj = _grid(8, 8)
-    div = apply_separator(adj, 0.5, component_cap=10)
-    assert div.max_component <= 10
+    div = apply_separator(adj, 1)
+    assert div.max_component <= component_cap_for(1) == 24
     assert div.removed
+
+
+def _random_graphs():
+    """300 seeded random graphs, n in 3..59, each with an eps' in {1, 1/2, 1/4}."""
+    rng = random.Random(2024)
+    for _ in range(300):
+        n = rng.randrange(3, 60)
+        adj = {i: set() for i in range(n)}
+        for _ in range(rng.randrange(0, 3 * n)):
+            a, b = rng.randrange(n), rng.randrange(n)
+            if a != b:
+                adj[a].add(b)
+                adj[b].add(a)
+        yield adj, rng.choice([Fraction(1), Fraction(1, 2), Fraction(1, 4)])
+
+
+# sha256 of balanced_separator and apply_separator output on _random_graphs().
+SEPARATOR_DIGEST = "0bd048276d2189a3397b3705a3cc5d1d757769ab3be0efe0111d9f1ecfafbea2"
+
+
+def test_separators_pinned_on_random_graphs():
+    rows = []
+    for adj, eps in _random_graphs():
+        div = apply_separator(adj, eps)
+        rows.append((
+            len(adj), sorted(balanced_separator(adj)),
+            sorted(div.removed), [sorted(c) for c in div.components],
+        ))
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == SEPARATOR_DIGEST
+
+
+def test_first_third_level_always_separates():
+    """Let m be the largest component's size. The first BFS level whose
+    cumulative size reaches m/3 leaves components of at most ceil(2n/3), so
+    balanced_separator never needs more than one level."""
+    for adj, _ in _random_graphs():
+        n = len(adj)
+        bound = -(-2 * n // 3)
+        big = max(_components_after(adj, ()), key=len)
+        if len(big) <= bound:
+            continue
+        levels, seen = [[min(big)]], {min(big)}
+        while True:
+            nxt = {u for v in levels[-1] for u in adj[v]} - seen
+            if not nxt:
+                break
+            seen |= nxt
+            levels.append(sorted(nxt))
+        cum = 0
+        for level in levels:
+            cum += len(level)
+            if 3 * cum >= len(big):
+                break
+        assert all(len(c) <= bound for c in _components_after(adj, level))
+        assert len(balanced_separator(adj)) <= len(level)
 
 
 def test_component_cap_mapping():
