@@ -200,20 +200,19 @@ def push_up(packing: Packing, items: Sequence[Item]) -> Packing:
 
 
 def find_separating_path(
-    vg: EmbeddedGraph,
-    packing: Packing,
-    items: Sequence[Item],
-    strip_height: Fraction,
+    vg: EmbeddedGraph, N: int, strip_height: Fraction
 ) -> Optional[tuple[int, ...]]:
     """BFS path from a bottom-strip item to an item near the top edge.
 
-    Returns None iff no surviving item intersects the open bottom strip.
-    On a pushed-up packing the walk always terminates within distance
-    ``strip_height`` of the top edge, because any item that can still move
-    up would contradict the fixpoint.
+    ``vg`` is the ``build_visibility_graph`` of a packing in the N x N
+    square, so each vertex is drawn as its placed item's box. Returns None
+    iff no item intersects the open bottom strip. On a pushed-up packing
+    the walk always terminates within distance ``strip_height`` of the top
+    edge, because any item that can still move up would contradict the
+    fixpoint.
     """
-    boxes = {v: packing.placements[v].box(items[packing.placements[v].item]) for v in vg.vertices}
-    starts = sorted(v for v in vg.vertices if boxes[v][1] < strip_height)
+    boxes = {v: drawing.boxes[0] for v, drawing in vg.vertices.items()}
+    starts = sorted(v for v in vg.vertices if boxes[v].y1 < strip_height)
     if not starts:
         return None
     succ: dict[int, list[int]] = {v: [] for v in vg.vertices}
@@ -225,7 +224,7 @@ def find_separating_path(
     goal = None
     while queue:
         v = queue.popleft()
-        if packing.N - boxes[v][3] < strip_height:
+        if N - boxes[v].y2 < strip_height:
             goal = v
             break
         for u in sorted(succ[v]):
@@ -358,7 +357,7 @@ def free_strip(
         )
 
     vg1 = build_visibility_graph(pushed, items, gap)
-    path = find_separating_path(vg1, pushed, items, gap)
+    path = find_separating_path(vg1, N, gap)
     assert path is not None
     witness_x = {(src, dst): seg.x1 for src, dst, seg in vg1.edges}
 

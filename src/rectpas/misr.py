@@ -442,19 +442,20 @@ def solve_cellset_subproblem(
     number: the set an include-first search in index order finds first
     when it keeps a best only on a strict gain.
 
-    ``best(avail, r, key)`` returns that subset of the rectangle mask
-    ``avail`` under cap r >= 2, as a mask, and stores it in the memo under
-    ``key``. Its smallest member is the first v of avail, ascending, for
-    which v plus the answer for ``sub = later & ~conflict[v]`` under cap
-    r - 1, later being the bits of avail above v, is largest; a later v
-    replaces it only on a strict gain. The loop stops once the size reaches
-    r or the bits left cannot beat it, and skips a v whose unblocked later
-    bits cannot. A child under cap 1 is ``sub & -sub``, inline, and a child
-    in the memo is read there, so ``best`` is called on memo misses only.
-    The recursion depth is at most r. ``best`` depends on the conflict
-    masks alone, so its memo is the index's fourth entry and serves every
-    call on the same index; r is clamped to the popcount of avail, which
-    changes no answer.
+    ``_capped_best(avail, r, key, conflict, memo, shift, deadline)``
+    returns that subset of the rectangle mask ``avail`` under cap r >= 2,
+    as a mask, and stores it in the memo under ``key = r << shift | avail``.
+    Its smallest member is the first v of avail, ascending, for which v
+    plus the answer for ``sub = later & ~conflict[v]`` under cap r - 1,
+    later being the bits of avail above v, is largest; a later v replaces
+    it only on a strict gain. The loop stops once the size reaches r or the
+    bits left cannot beat it, and skips a v whose unblocked later bits
+    cannot. A child under cap 1 is ``sub & -sub``, inline, and a child in
+    the memo is read there, so ``_capped_best`` is called on memo misses
+    only. The recursion depth is at most r. The answer depends on the
+    conflict masks alone, so the memo is the index's fourth entry and
+    serves every call on the same index; r is clamped to the popcount of
+    avail, which changes no answer.
 
     ``clock``, if given, lends its deadline, read inline whenever the memo
     size is a multiple of 256 on a memo miss; past it the call raises
@@ -465,53 +466,68 @@ def solve_cellset_subproblem(
     spans, _, conflict, memo, tables = index
     shift = len(spans)
     inside = ((1 << shift) - 1) & ~_table_or(tables, ~cells)
-    deadline = None if clock is None else clock.deadline
-    memo_get = memo.get
-
-    def best(avail: int, r: int, key: int) -> int:
-        if deadline is not None and not len(memo) & 255 and time.monotonic() > deadline:
-            raise _overrun("capped MIS")
-        out = m = 0
-        rest = avail
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            if rest.bit_count() < m:
-                break
-            sub = rest & ~conflict[low.bit_length() - 1]
-            count = sub.bit_count()
-            if count < m:
-                continue
-            if count < 2 or r == 2:
-                got = sub & -sub
-            else:
-                sub_r = count if count < r else r - 1
-                sub_key = sub_r << shift | sub
-                got = memo_get(sub_key)
-                if got is None:
-                    got = best(sub, sub_r, sub_key)
-            size = got.bit_count() + 1
-            if size > m:
-                out, m = low | got, size
-                if m >= r:
-                    break
-        memo[key] = out
-        return out
-
     r = min(cap, inside.bit_count())
     if r < 2:
         found = inside & -inside if r else 0
     else:
         key = r << shift | inside
-        found = memo_get(key)
+        found = memo.get(key)
         if found is None:
-            found = best(inside, r, key)
+            deadline = None if clock is None else clock.deadline
+            found = _capped_best(inside, r, key, conflict, memo, shift, deadline)
     solution = []  # a solution mask has at most cap bits: one step per rectangle, not per bit
     while found:
         low = found & -found
         solution.append(low.bit_length() - 1)
         found ^= low
     return tuple(solution)
+
+
+def _capped_best(
+    avail: int,
+    r: int,
+    key: int,
+    conflict: Sequence[int],
+    memo: dict[int, int],
+    shift: int,
+    deadline: Optional[float],
+) -> int:
+    """The capped-MIS answer for the rectangle mask ``avail`` under cap r >= 2.
+
+    See ``solve_cellset_subproblem``: the answer is returned as a mask and
+    stored in ``memo`` under ``key``, which is ``r << shift | avail``.
+    A module-level function that reads only its arguments, so a call
+    leaves no reference cycle behind for the cyclic collector.
+    """
+    if deadline is not None and not len(memo) & 255 and time.monotonic() > deadline:
+        raise _overrun("capped MIS")
+    memo_get = memo.get
+    out = m = 0
+    rest = avail
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        if rest.bit_count() < m:
+            break
+        sub = rest & ~conflict[low.bit_length() - 1]
+        count = sub.bit_count()
+        if count < m:
+            continue
+        if count < 2 or r == 2:
+            got = sub & -sub
+        else:
+            sub_r = count if count < r else r - 1
+            sub_key = sub_r << shift | sub
+            got = memo_get(sub_key)
+            if got is None:
+                got = _capped_best(sub, sub_r, sub_key, conflict, memo, shift, deadline)
+        size = got.bit_count() + 1
+        if size > m:
+            out, m = low | got, size
+            if m >= r:
+                break
+    memo[key] = out
+    return out
 
 
 class _Candidate(NamedTuple):

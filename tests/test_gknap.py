@@ -186,21 +186,21 @@ def test_separating_path_absent_without_strip_item():
     items = [Item(4, 2)]
     packing = _packing(10, (0, 8, False))
     vg = build_visibility_graph(packing, items, Fraction(2))
-    assert find_separating_path(vg, packing, items, Fraction(2)) is None
+    assert find_separating_path(vg, packing.N, Fraction(2)) is None
 
 
 def test_separating_path_single_full_height_item():
     items = [Item(2, 10)]
     packing = _packing(10, (3, 0, False))
     vg = build_visibility_graph(packing, items, Fraction(2))
-    assert find_separating_path(vg, packing, items, Fraction(2)) == (0,)
+    assert find_separating_path(vg, packing.N, Fraction(2)) == (0,)
 
 
 def test_separating_path_chain():
     items = [Item(4, 4), Item(4, 3), Item(4, 3)]
     packing = _packing(10, (2, 0, False), (2, 4, False), (2, 7, False))
     vg = build_visibility_graph(packing, items, Fraction(1))
-    path = find_separating_path(vg, packing, items, Fraction(1))
+    path = find_separating_path(vg, packing.N, Fraction(1))
     assert path == (0, 1, 2)
 
 
@@ -248,6 +248,33 @@ def test_free_strip_column_forces_path_branch():
     unique_casualties = set().union(*rep.deletion_casualties) if rep.deletion_casualties else set()
     assert rep.loss <= len(rep.band_removed) + len(rep.separator_removed) + K + len(unique_casualties)
     assert validate_packing(res.packing, f.instance.items).ok
+
+
+def test_free_strip_deletion_box_between_path_items():
+    # In units of N/64 (gap N/8 = 8 units, strip 1 unit): a lies on the
+    # floor, pushed up against c; the path a -> b crosses a 5-unit gap at the
+    # witness x = 24, the midpoint of a and b's shared projection [18, 30].
+    # Its deletion box [16, 24] x [10, 15] catches d, which starts at y = 14,
+    # and misses c, which ends at x = 9.
+    u = 100
+    N = 64 * u
+    large = [
+        (Item(40 * u, 10 * u), 0, 0, False),  # a: [0, 40] x [0, 10]
+        (Item(49 * u, 12 * u), 18 * u, 15 * u, True),  # b: [18, 30] x [15, 64]
+        (Item(54 * u, 9 * u), 0, 10 * u, True),  # c: [0, 9] x [10, 64]
+        (Item(50 * u, 9 * u), 9 * u, 14 * u, True),  # d: [9, 18] x [14, 64]
+    ]
+    thin = [(Item(20 * u, 10), 40 * u, 10 * y, False) for y in range(4)]
+    rows = large + thin
+    inst = GknapInstance(N, tuple(it for it, *_ in rows))
+    packing = Packing(N, tuple(Placement(i, x, y, rot) for i, (_, x, y, rot) in enumerate(rows)))
+    res = free_strip(inst, packing, 0.5)
+    rep = res.report
+    assert (rep.branch, rep.B, rep.strip_height) == ("separating-path", 1, u)
+    assert rep.path == (0, 1)
+    # the box between a and b, then the ones under a and above b
+    assert rep.deletion_casualties == ((3,), (), ())
+    assert sorted(pl.item for pl in res.packing.placements) == [2, 4, 5, 6, 7]
 
 
 def test_free_strip_rejects_small_k():

@@ -276,6 +276,21 @@ def test_cli_misr_cap_below_one_is_an_error(tmp_path, capsys):
             assert not out.exists()
 
 
+def test_cli_solve_k_below_one_is_an_error(tmp_path, capsys):
+    # Every solve path rejects k < 1 before it writes anything: an exact
+    # solve must not answer it with an empty packing and exit 0.
+    m, g = tmp_path / "m.json", tmp_path / "g.json"
+    assert cli_dispatch(["gen", "misr", "--n", "8", "--seed", "3", "--out", str(m)]) == 0
+    assert cli_dispatch(["gen", "gknap", "--n", "6", "--N", "20", "--out", str(g)]) == 0
+    for algorithm, inst in (("misr-exact", m), ("misr-pas", m), ("2dkr-exact", g), ("2dkr-pas", g)):
+        for k in ("0", "-1"):
+            out = tmp_path / f"{algorithm}{k}.json"
+            capsys.readouterr()
+            assert cli_dispatch(["solve", algorithm, str(inst), "--k", k, "--out", str(out)]) == 1
+            assert capsys.readouterr().err == f"error: k must be positive, got {k}\n"
+            assert not out.exists()
+
+
 def test_cli_nan_budget_is_an_error(tmp_path, capsys):
     # NaN would set a deadline that is never reached: an unbounded run.
     i = tmp_path / "i.json"

@@ -691,6 +691,28 @@ def test_pas_and_kernel_keep_nothing_alive(monkeypatch):
     assert len(grids) == 2
 
 
+def test_capped_mis_leaves_no_cyclic_garbage():
+    """A capped-MIS call builds no reference cycle, so its garbage goes
+    with reference counts alone, and a kernel of 888 footprints leaves only
+    its handful of per-run cycles for the cyclic collector."""
+    inst = normalize_instance(gen_misr(n=22, seed=5, span=16, max_side=9).instance)
+    grid = build_grid(inst, 9).grid
+    every = (1 << grid.n_cols * grid.n_rows) - 1
+    index = cell_index(inst, grid)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        for cap in range(1, 12):
+            solve_cellset_subproblem(index, every, cap)
+            assert gc.collect() == 0, cap
+        kernel_misr(inst, 9, Fraction(1, 2), c=9)
+        assert gc.collect() < 50
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
 def test_theory_knob_mapping():
     assert theory_cap(0.5) == 256
     assert theory_cap(Fraction(1, 2)) == 256
