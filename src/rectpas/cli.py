@@ -103,7 +103,6 @@ def _build_parser() -> _Parser:
     d.add_argument("instance", type=Path)
     d.add_argument("--solution", type=Path, default=None)
     d.add_argument("--k", type=int, default=None, help="draw the grid for this k")
-    d.add_argument("--format", choices=["svg", "json"], default="svg")
     d.add_argument("--out", type=Path, default=None)
 
     return p
@@ -350,9 +349,6 @@ def _cmd_render(args) -> int:
         outcome = misr.build_grid(normalize_instance(inst_file.instance), args.k)
         if outcome.is_grid:
             grid = outcome.grid
-    if args.format == "json":
-        _emit(fileio.canonical_json(inst_file.to_payload()), args.out)
-        return EXIT_OK
     instance = inst_file.instance
     if inst_file.kind == "misr" and grid is not None:
         instance = normalize_instance(instance)
@@ -380,10 +376,9 @@ def cli_dispatch(argv: Sequence[str]) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     # The MISR set packing recurses once per candidate; a family larger than
-    # the recursion limit ends here too.
-    except (
-        fileio.FileFormatError, FileNotFoundError, ValueError, oracles.BudgetExceededError, RecursionError
-    ) as exc:
+    # the recursion limit ends here too. OSError covers every IO failure: a
+    # missing file, a directory given as a file, a file that cannot be read.
+    except (fileio.FileFormatError, OSError, ValueError, oracles.BudgetExceededError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -643,12 +643,15 @@ def theory_k_tilde(k: int, epsilon: Fraction | float) -> int:
 @dataclass(frozen=True)
 class Pas2dkrResult:
     packing: Optional[Packing]
-    opt_below_k: bool
     metadata: Mapping[str, object] = field(default_factory=dict)
 
     @property
     def positive(self) -> bool:
         return self.packing is not None
+
+    @property
+    def opt_below_k(self) -> bool:
+        return self.packing is None
 
 
 def pas_2dkr(
@@ -680,13 +683,13 @@ def pas_2dkr(
     }
     if instance.n < k:
         meta["branch"] = "too-few-items"
-        return Pas2dkrResult(None, True, meta)
+        return Pas2dkrResult(None, meta)
     res = solve_restricted(instance, k_prime, kt, budget)
     meta["branch"] = "restricted-enumeration"
     meta["kernel_size"] = res.kernel.size
     if res.feasible:
-        return Pas2dkrResult(res.packing, False, meta)
-    return Pas2dkrResult(None, True, meta)
+        return Pas2dkrResult(res.packing, meta)
+    return Pas2dkrResult(None, meta)
 
 
 def kernel_2dkr(

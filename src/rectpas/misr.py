@@ -158,30 +158,43 @@ def cells_spanned(grid: Grid, rect: Rect) -> tuple[tuple[int, int], ...]:
     return tuple((c, r) for c in range(c_lo, c_hi + 1) for r in range(r_lo, r_hi + 1))
 
 
-def contained_corner_hull(grid: Grid, rect: Rect) -> Box:
-    """Convex hull of the grid corners strictly inside the rectangle.
-
-    Grid corners are intersections of grid lines; the hull is the box
-    spanned by the crossing lines of each axis and may be degenerate.
+def _corner_hull(grid: Grid, block: tuple[int, int, int, int]) -> Box:
+    """Convex hull of the grid corners strictly inside a rectangle, from its
+    ``_span_block``: the lines inside are vertical lines c_lo + 1 .. c_hi and
+    horizontal lines r_lo + 1 .. r_hi. The hull may be degenerate.
     """
-    vs, hs = crossing_lines(grid, rect)
-    if not vs or not hs:
+    c_lo, c_hi, r_lo, r_hi = block
+    if c_lo == c_hi or r_lo == r_hi:
         raise ValueError("rectangle contains no grid corner")
-    return Box(min(vs), min(hs), max(vs), max(hs))
+    return Box(grid.v_lines[c_lo + 1], grid.h_lines[r_lo + 1], grid.v_lines[c_hi], grid.h_lines[r_hi])
+
+
+def _meet(p: tuple[int, int, int, int], q: tuple[int, int, int, int]) -> tuple[int, int, int, int]:
+    """The block of cells two span blocks share, empty if c_lo > c_hi or r_lo > r_hi."""
+    return max(p[0], q[0]), min(p[1], q[1]), max(p[2], q[2]), min(p[3], q[3])
+
+
+def _holds(block: tuple[int, int, int, int], a: int, b: int) -> bool:
+    """Whether the rectangle of a span block strictly contains grid corner
+    (a, b), the crossing of lines ``v_lines[a]`` and ``h_lines[b]``."""
+    return block[0] < a <= block[1] and block[2] < b <= block[3]
+
+
+def _diagonal(grid: Grid, p, q, rising: bool) -> Optional[Segment]:
+    """Diagonal of the first shared cell, in (col, row) order, whose two ends
+    are corners held one by each of the span blocks p and q: bottom-left to
+    top-right if ``rising``, else top-left to bottom-right."""
+    c_lo, c_hi, r_lo, r_hi = _meet(p, q)
+    for c in range(c_lo, c_hi + 1):
+        for r in range(r_lo, r_hi + 1):
+            b1, b2 = (r, r + 1) if rising else (r + 1, r)
+            if _holds(p, c, b1) and _holds(q, c + 1, b2) or _holds(q, c, b1) and _holds(p, c + 1, b2):
+                return Segment(grid.v_lines[c], grid.h_lines[b1], grid.v_lines[c + 1], grid.h_lines[b2])
+    return None
 
 
 # ---------------------------------------------------------------------------
 # The two embedded graphs over a feasible solution
-
-
-def _corner_owner(
-    inst: MisrInstance, solution: Sequence[int], x: int, y: int
-) -> Optional[int]:
-    for i in solution:
-        r = inst.rects[i]
-        if 2 * r.x1 < x < 2 * r.x2 and 2 * r.y1 < y < 2 * r.y2:
-            return i
-    return None
 
 
 def build_G1(
@@ -195,123 +208,69 @@ def build_G1(
     pair deliberately contributes no edge; those connections are handled one
     level up. Drawings: corner hulls for vertices, segments along shared
     lines, one diagonal per cell.
+
+    Everything is read off the rectangles' ``_span_block``s: two rectangles
+    share the cells of the intersection of their blocks, and a vertical
+    (horizontal) crossing line iff that intersection spans two or more
+    columns (rows). A pair is joined along the first shared vertical line,
+    else the first shared horizontal one, else by a ``_diagonal``.
     """
     sol = sorted(set(solution))
     if not validate_misr_solution(inst, sol):
         raise ValueError("solution is not an independent set")
-    cross = {i: crossing_lines(grid, inst.rects[i]) for i in sol}
-    cells = {i: set(cells_spanned(grid, inst.rects[i])) for i in sol}
-    hull = {i: contained_corner_hull(grid, inst.rects[i]) for i in sol}
-    edges = tuple(_g1_edges(sol, grid, inst, cross, cells, hull))
-    vertices = {i: VertexDrawing.box(hull[i]) for i in sol}
-    return EmbeddedGraph(vertices, edges)
-
-
-def _g1_edges(
-    members: Sequence[int], grid: Grid, inst: MisrInstance, cross, cells, hull
-) -> Iterable[tuple[int, int, Segment]]:
-    """G1's edges among ``members`` (sorted), pair by pair in order.
-
-    A pair sharing a cell is joined along a shared crossing line if there is
-    one, else by the top-left/bottom-right diagonal of a shared cell.
-    """
-    for ai in range(len(members)):
-        for bi in range(ai + 1, len(members)):
-            i, j = members[ai], members[bi]
-            shared_cells = cells[i] & cells[j]
-            if not shared_cells:
+    block = {i: _span_block(grid, inst.rects[i]) for i in sol}
+    hull = {i: _corner_hull(grid, block[i]) for i in sol}
+    edges = []
+    for ai, i in enumerate(sol):
+        for j in sol[ai + 1 :]:
+            c_lo, c_hi, r_lo, r_hi = _meet(block[i], block[j])
+            if c_lo > c_hi or r_lo > r_hi:
                 continue
-            seg = _shared_line_segment(i, j, cross, hull)
-            if seg is None:
-                seg = _diagonal_segment(grid, inst, shared_cells, i, j, "tlbr")
+            a, b = hull[i], hull[j]  # apart on the axis across a shared line
+            if c_lo < c_hi:
+                v = grid.v_lines[c_lo + 1]
+                seg = Segment(v, min(a.y2, b.y2), v, max(a.y1, b.y1))
+            elif r_lo < r_hi:
+                h = grid.h_lines[r_lo + 1]
+                seg = Segment(min(a.x2, b.x2), h, max(a.x1, b.x1), h)
+            else:
+                seg = _diagonal(grid, block[i], block[j], rising=False)
             if seg is not None:
-                yield i, j, seg
-
-
-def _shared_line_segment(i, j, cross, hull) -> Optional[Segment]:
-    vi, hi = cross[i]
-    vj, hj = cross[j]
-    shared_v = sorted(set(vi) & set(vj))
-    if shared_v:
-        v = shared_v[0]
-        lower, upper = (hull[i], hull[j]) if hull[i].y2 <= hull[j].y1 else (hull[j], hull[i])
-        return Segment(v, lower.y2, v, upper.y1)
-    shared_h = sorted(set(hi) & set(hj))
-    if shared_h:
-        h = shared_h[0]
-        left, right = (hull[i], hull[j]) if hull[i].x2 <= hull[j].x1 else (hull[j], hull[i])
-        return Segment(left.x2, h, right.x1, h)
-    return None
-
-
-def _diagonal_segment(
-    grid: Grid,
-    inst: MisrInstance,
-    shared_cells: Iterable[tuple[int, int]],
-    i: int,
-    j: int,
-    kind: str,
-) -> Optional[Segment]:
-    """Diagonal edge for a corner pair inside some shared cell.
-
-    ``kind`` selects which opposite corner pair induces the edge:
-    "tlbr" is top-left with bottom-right, "bltr" bottom-left with top-right.
-    """
-    for cell in sorted(shared_cells):
-        b = grid.cell_box(*cell)
-        if kind == "tlbr":
-            c1, c2 = (b.x1, b.y2), (b.x2, b.y1)
-        else:
-            c1, c2 = (b.x1, b.y1), (b.x2, b.y2)
-        o1 = _corner_owner(inst, (i, j), *c1)
-        o2 = _corner_owner(inst, (i, j), *c2)
-        if o1 is not None and o2 is not None and o1 != o2:
-            return Segment(*c1, *c2)
-    return None
+                edges.append((i, j, seg))
+    return EmbeddedGraph({i: VertexDrawing.box(hull[i]) for i in sol}, tuple(edges))
 
 
 def build_G2(
+    g1: EmbeddedGraph,
     g1_division: Division,
-    solution: Iterable[int],
     grid: Grid,
     inst: MisrInstance,
 ) -> EmbeddedGraph:
     """Component graph capturing the corner pairs G1 leaves unconnected.
 
-    One vertex per surviving component of the divided first graph; an edge
-    whenever some cell's bottom-left and top-right corners lie in
-    rectangles of two different components. Each component is drawn as its
-    members' corner hulls joined by the in-component segments, and each
-    edge as the bottom-left to top-right diagonal of a witness cell.
+    One vertex per surviving component of ``g1_division``, the division of
+    ``g1``; an edge whenever some cell's bottom-left and top-right corners
+    lie in rectangles of two different components (a rising ``_diagonal``
+    of their shared cells), drawn as that diagonal, once per pair of
+    components. Each component is drawn with its members' boxes and the
+    segments of the ``g1`` edges among them, taken from ``g1``'s drawing.
     """
-    sol = sorted(set(solution))
-    survivors = [i for i in sol if i not in g1_division.removed]
-    comp_of = g1_division.component_of()
-    hull = {i: contained_corner_hull(grid, inst.rects[i]) for i in survivors}
-    cross = {i: crossing_lines(grid, inst.rects[i]) for i in survivors}
-    cells = {i: set(cells_spanned(grid, inst.rects[i])) for i in survivors}
-
-    vertices: dict[int, VertexDrawing] = {}
+    vertices = {}
     for ci, comp in enumerate(g1_division.components):
-        members = sorted(comp)
-        connectors = tuple(seg for _, _, seg in _g1_edges(members, grid, inst, cross, cells, hull))
-        vertices[ci] = VertexDrawing(tuple(hull[i] for i in members), connectors)
-
+        boxes = tuple(b for i in sorted(comp) for b in g1.vertices[i].boxes)
+        vertices[ci] = VertexDrawing(boxes, tuple(seg for i, j, seg in g1.edges if i in comp and j in comp))
+    comp_of = g1_division.component_of()
+    survivors = sorted(comp_of)
+    block = {i: _span_block(grid, inst.rects[i]) for i in survivors}
     edges: list[tuple[int, int, Segment]] = []
     seen: set[tuple[int, int]] = set()
-    for ai in range(len(survivors)):
-        for bi in range(ai + 1, len(survivors)):
-            i, j = survivors[ai], survivors[bi]
+    for ai, i in enumerate(survivors):
+        for j in survivors[ai + 1 :]:
             ci, cj = comp_of[i], comp_of[j]
-            if ci == cj:
-                continue
             key = (min(ci, cj), max(ci, cj))
-            if key in seen:
+            if ci == cj or key in seen:
                 continue
-            shared = cells[i] & cells[j]
-            if not shared:
-                continue
-            seg = _diagonal_segment(grid, inst, shared, i, j, "bltr")
+            seg = _diagonal(grid, block[i], block[j], rising=True)
             if seg is not None:
                 seen.add(key)
                 edges.append((ci, cj, seg))
@@ -362,7 +321,7 @@ def structured_solution(
     g1 = build_G1(sol, grid, inst)
     div1 = apply_separator(g1.adjacency(), eps / 2)
     c1 = max(div1.max_component, 1)
-    g2 = build_G2(div1, sol, grid, inst)
+    g2 = build_G2(g1, div1, grid, inst)
     div2 = apply_separator(g2.adjacency(), eps / (2 * c1))
     c2 = max(div2.max_component, 1)
 
@@ -777,13 +736,16 @@ class PasMisrResult:
     """Outcome of the PAS run: a solution or the negative assertion."""
 
     selected: Optional[tuple[int, ...]]
-    opt_below_k: bool
     best_total: int
     metadata: Mapping[str, object] = field(default_factory=dict)
 
     @property
     def positive(self) -> bool:
         return self.selected is not None
+
+    @property
+    def opt_below_k(self) -> bool:
+        return self.selected is None
 
 
 def pas_misr(
@@ -817,7 +779,7 @@ def pas_misr(
     outcome = build_grid(inst, k)
     if not outcome.is_grid:
         meta["branch"] = "grid-witness"
-        return PasMisrResult(outcome.witness, False, k, meta)
+        return PasMisrResult(outcome.witness, k, meta)
     clock = None if budget is None else budget.start_clock()
     cands = _candidate_family(cell_index(inst, outcome.grid), cap_c, clock)
     best_total, best_sol, nodes = _max_disjoint_collection(cands, k, clock)
@@ -826,8 +788,8 @@ def pas_misr(
     meta["set_packing_nodes"] = nodes
     if best_total >= k:
         assert validate_misr_solution(inst, best_sol)
-        return PasMisrResult(best_sol, False, best_total, meta)
-    return PasMisrResult(None, True, best_total, meta)
+        return PasMisrResult(best_sol, best_total, meta)
+    return PasMisrResult(None, best_total, meta)
 
 
 def kernel_misr(

@@ -105,30 +105,33 @@ def mis_rectangles_exact(
     overlaps some other live rectangle; prunes with a greedy clique cover
     bound taken in ascending index order. The certificate is re-validated
     before returning.
+
+    The search runs on an explicit stack of (live mask, chosen) nodes, so
+    its depth costs no Python frames: a node pushes its skip child, then its
+    include child, which makes the pops visit the nodes in the include-first
+    order of a recursion.
     """
     if inst.n > budget.max_items:
         raise BudgetExceededError(f"{inst.n} rectangles exceed budget {budget.max_items}")
     clock = budget.start_clock()
     conflict = conflict_masks(inst)
     best: list[int] = []
-
-    def search(alive: int, chosen: list[int]) -> None:
-        nonlocal best
+    stack: list[tuple[int, tuple[int, ...]]] = [((1 << inst.n) - 1, ())]
+    while stack:
+        alive, chosen = stack.pop()
         clock.tick()
         if not alive:
             if len(chosen) > len(best):
                 best = sorted(chosen)
-            return
+            continue
         members = [u for u in range(alive.bit_length()) if alive >> u & 1]
         if len(chosen) + _clique_cover_bound(conflict, members) <= len(best):
-            return
+            continue
         v = max(members, key=lambda u: ((conflict[u] & alive).bit_count(), -u))
         rest = alive & ~(1 << v)
-        search(alive & ~conflict[v], chosen + [v])
         if conflict[v] & rest:
-            search(rest, chosen)
-
-    search((1 << inst.n) - 1, [])
+            stack.append((rest, chosen))
+        stack.append((alive & ~conflict[v], (*chosen, v)))
     assert validate_misr_solution(inst, best)
     return tuple(best)
 

@@ -115,7 +115,7 @@ def test_criterion_2_embedding_planarity(misr_corpus10, gknap_corpus5):
         if planarity_violations(g1):
             failures += 1
         div = apply_separator(g1.adjacency(), 0.25)
-        g2 = build_G2(div, opt, out.grid, inst)
+        g2 = build_G2(g1, div, out.grid, inst)
         if planarity_violations(g2):
             failures += 1
     checked_v = 0

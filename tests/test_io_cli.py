@@ -303,6 +303,21 @@ def test_cli_nan_budget_is_an_error(tmp_path, capsys):
     assert not (tmp_path / "s.json").exists()
 
 
+def test_cli_io_errors_are_one_error_line(tmp_path, capsys):
+    # A directory where a file belongs is an IO error (exit 1), whether it is
+    # read as the instance or written as --out.
+    m = tmp_path / "m.json"
+    assert cli_dispatch(["gen", "misr", "--n", "8", "--seed", "3", "--out", str(m)]) == 0
+    for argv in (
+        ["solve", "misr-pas", str(tmp_path), "--k", "3"],
+        ["solve", "misr-pas", str(m), "--k", "3", "--cap-c", "2", "--out", str(tmp_path)],
+    ):
+        capsys.readouterr()
+        assert cli_dispatch(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_cli_2dkr_pas_above_the_probe_bound_is_an_error(tmp_path, capsys):
     # 12 items, so the PAS does not settle k = 12 by counting; k' = 7 is one
     # more item than the CLI lets a probe hold.

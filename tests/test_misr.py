@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import random
 import weakref
 from fractions import Fraction
@@ -188,7 +189,7 @@ def test_g2_single_component_no_edges():
     out = build_grid(STACK2, 3)
     g1 = build_G1((0, 1), out.grid, STACK2)
     div = apply_separator(g1.adjacency(), 0.5)
-    g2 = build_G2(div, (0, 1), out.grid, STACK2)
+    g2 = build_G2(g1, div, out.grid, STACK2)
     if len(div.components) == 1:
         assert not g2.edges
 
@@ -199,7 +200,7 @@ def test_g2_bl_tr_edge_across_components():
     g1 = build_G1((0, 1), out.grid, inst)
     div = apply_separator(g1.adjacency(), 0.5)
     assert len(div.components) == 2  # G1 is edgeless here
-    g2 = build_G2(div, (0, 1), out.grid, inst)
+    g2 = build_G2(g1, div, out.grid, inst)
     assert len(g2.edges) == 1
     assert not planarity_violations(g2)
     assert g2.validate_drawing_anchors()
@@ -209,7 +210,7 @@ def test_g2_disjoint_components_edgeless():
     out = build_grid(DIAGONAL3, 4)
     g1 = build_G1((0, 2), out.grid, DIAGONAL3)
     div = apply_separator(g1.adjacency(), 0.5)
-    g2 = build_G2(div, (0, 2), out.grid, DIAGONAL3)
+    g2 = build_G2(g1, div, out.grid, DIAGONAL3)
     assert not g2.edges
 
 
@@ -234,7 +235,7 @@ def test_embeddings_planar_on_arbitrary_feasible_solutions(misr_corpus6):
         assert not planarity_violations(g1), seed
         assert g1.validate_drawing_anchors()
         div = apply_separator(g1.adjacency(), 0.25)
-        g2 = build_G2(div, greedy, out.grid, inst)
+        g2 = build_G2(g1, div, out.grid, inst)
         assert not planarity_violations(g2), seed
 
 
@@ -286,6 +287,46 @@ def test_structured_solution_pinned_on_bench_corpus():
         assert not grp.dropped, seed
         got.append((seed, len(opt), grp.max_group, grp.c1, grp.c2))
     assert tuple(got) == BENCH_GROUPINGS
+
+
+# sha256 of repr((seed, solution, eps, G1, G2, structured_solution)) over the
+# cases of test_structure_graphs_pinned.
+STRUCTURE_DIGEST = "117a98ffc6f6523827c887d962ff69e4fa10a98eb4850583ea6af64a8e5eb16a"
+
+
+def test_structure_graphs_pinned(monkeypatch):
+    """G1, G2 and the grouping, drawings included, on 360 seeded cases: per
+    gen_misr instance with 4 to 28 rectangles whose grid exists, two greedy
+    feasible solutions in random order, each at eps 1, 1/2 and 1/4. The grid
+    is built at k = n; every k that gives a grid gives this one. The graphs
+    are the ones structured_solution builds, recorded as it calls them."""
+    built = []
+    for name in ("build_G1", "build_G2"):
+        real = getattr(misr, name)
+        monkeypatch.setattr(misr, name, lambda *args, real=real: built.append(real(*args)) or built[-1])
+    digest = hashlib.sha256()
+    cases = 0
+    for seed in range(60):
+        rng = random.Random(seed)
+        inst = normalize_instance(gen_misr(n=rng.randrange(4, 29), seed=seed, span=14, max_side=9).instance)
+        out = build_grid(inst, inst.n)
+        if not out.is_grid:
+            continue
+        for _ in range(2):
+            order = list(range(inst.n))
+            rng.shuffle(order)
+            sol: list[int] = []
+            for i in order:
+                if all(rects_disjoint(inst.rects[i], inst.rects[j]) for j in sol):
+                    sol.append(i)
+            for eps in (Fraction(1), Fraction(1, 2), Fraction(1, 4)):
+                built.clear()
+                grp = structured_solution(sol, out.grid, inst, eps)
+                assert len(built) == 2
+                digest.update(repr((seed, sol, eps, *built, grp)).encode())
+                cases += 1
+    assert cases == 360
+    assert digest.hexdigest() == STRUCTURE_DIGEST
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import random
+import sys
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import combinations, product
@@ -72,6 +73,24 @@ def test_mis_exact_tie_break_on_bench_instances():
         for j in range(len(MIS_BENCH_TUPLES))
     ]
     assert got == MIS_BENCH_TUPLES
+
+
+def test_mis_exact_search_depth_takes_no_frames():
+    # 60 overlapping pairs in a row: the include chain is 60 nodes deep and
+    # every pair leaves a skip node, so a recursive search would need about
+    # 60 frames above its caller; 40 spare frames must be enough.
+    coords = [c for i in range(60) for c in ((3 * i, 0, 3 * i + 2, 2), (3 * i + 1, 1, 3 * i + 3, 3))]
+    inst = MisrInstance.from_coords(coords)
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 40)
+    try:
+        got = mis_rectangles_exact(inst, OracleBudget(max_items=120))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert got == tuple(range(0, 120, 2))
 
 
 def test_mis_budget_guard():
