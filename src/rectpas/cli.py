@@ -138,16 +138,17 @@ def _parse_ints(text: str) -> list[int]:
 
 
 def _cmd_gen(args) -> int:
-    if args.kind == "figure3" and args.k is None:
-        raise _UsageError("gen figure3 needs --k")
-    params = {"seed": args.seed, "n": args.n}
+    board = {} if args.N is None else {"N": args.N}  # no --N: each generator's own default
     if args.kind == "misr":
-        params.update(span=args.span, planted=args.planted)
-    if args.k is not None:
-        params["k"] = args.k
-    if args.N is not None:
-        params["N"] = args.N
-    inst = generators.gen_random(args.kind, **params)
+        inst = generators.gen_misr(args.n, args.seed, args.span, planted=args.planted)
+    elif args.kind == "figure3":
+        if args.k is None:
+            raise _UsageError("gen figure3 needs --k")
+        inst = generators.gen_figure_counterexample(args.k, **board)[0]
+    elif args.k is not None:
+        inst = generators.gen_gknap_packed(args.k, args.seed, **board)[0]
+    else:
+        inst = generators.gen_gknap_random(args.n, args.seed, **board)
     _write_file(inst, args.out)
     return EXIT_OK
 

@@ -172,30 +172,3 @@ def gen_figure_counterexample(k: int, N: int = 0, flat_height: int = 1) -> tuple
     inst = GknapInstance(N, items, rotations=False)
     return InstanceFile("gknap", inst, meta), Packing(N, tuple(placements))
 
-
-def gen_random(kind: str, **params) -> InstanceFile:
-    """Dispatch by generator name; see the individual generators for params."""
-    if kind == "misr":
-        return gen_misr(
-            n=params["n"],
-            seed=params.get("seed", 0),
-            span=params.get("span", 60),
-            max_side=params.get("max_side", 18),
-            planted=params.get("planted", 0),
-        )
-    if kind == "gknap":
-        if "k" in params:
-            return gen_gknap_packed(
-                k=params["k"],
-                seed=params.get("seed", 0),
-                N=params.get("N", 1000),
-                max_frac=params.get("max_frac", 8),
-                extra=params.get("extra", 0),
-                column=params.get("column", 0),
-            )[0]
-        return gen_gknap_random(
-            n=params["n"], seed=params.get("seed", 0), N=params.get("N", 64)
-        )
-    if kind == "figure3":
-        return gen_figure_counterexample(params["k"], params.get("N", 0))[0]
-    raise ValueError(f"unknown generator kind {kind!r}")

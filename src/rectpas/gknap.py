@@ -679,7 +679,6 @@ def pas_2dkr(
         "epsilon": eps,
         "k_prime": k_prime,
         "k_tilde": kt,
-        "assertion_sound_under": "theory k_tilde mapping",
     }
     if instance.n < k:
         meta["branch"] = "too-few-items"

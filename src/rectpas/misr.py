@@ -22,7 +22,7 @@ from math import ceil
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .geometry import MisrInstance, KernelReport, Rect, as_epsilon, conflict_masks, validate_misr_solution
-from .oracles import BudgetExceededError, OracleBudget, _Clock
+from .oracles import BudgetExceededError, OracleBudget
 from .planar import (
     Box,
     Division,
@@ -385,7 +385,7 @@ def cell_index(
 
 
 def solve_cellset_subproblem(
-    index: tuple, cells: int, cap: int, clock: Optional[_Clock] = None
+    index: tuple, cells: int, cap: int, deadline: Optional[float] = None
 ) -> tuple[int, ...]:
     """Best feasible subset of size <= cap among rectangles inside the cells.
 
@@ -416,9 +416,9 @@ def solve_cellset_subproblem(
     serves every call on the same index; r is clamped to the popcount of
     avail, which changes no answer.
 
-    ``clock``, if given, lends its deadline, read inline whenever the memo
-    size is a multiple of 256 on a memo miss; past it the call raises
-    ``BudgetExceededError``, and the memo keeps only finished entries.
+    ``deadline``, a ``time.monotonic()`` value, is read on each memo miss;
+    past it the call raises ``BudgetExceededError``, and the memo keeps
+    only finished entries.
     """
     if cap < 0:
         raise ValueError("cap must be non-negative")
@@ -432,7 +432,6 @@ def solve_cellset_subproblem(
         key = r << shift | inside
         found = memo.get(key)
         if found is None:
-            deadline = None if clock is None else clock.deadline
             found = _capped_best(inside, r, key, conflict, memo, shift, deadline)
     solution = []  # a solution mask has at most cap bits: one step per rectangle, not per bit
     while found:
@@ -458,7 +457,7 @@ def _capped_best(
     A module-level function that reads only its arguments, so a call
     leaves no reference cycle behind for the cyclic collector.
     """
-    if deadline is not None and not len(memo) & 255 and time.monotonic() > deadline:
+    if deadline is not None and time.monotonic() > deadline:
         raise _overrun("capped MIS")
     memo_get = memo.get
     out = m = 0
@@ -564,7 +563,7 @@ def _table_or(tables: Sequence[Sequence[int]], mask: int) -> int:
 
 
 def _solved_footprints(
-    index: tuple, c: int, clock: Optional[_Clock] = None
+    index: tuple, c: int, deadline: Optional[float] = None
 ) -> dict[int, tuple[int, ...]]:
     """Footprints of cell-connected independent subsets, solved under cap c.
 
@@ -581,9 +580,7 @@ def _solved_footprints(
     footprints whose solution is not empty; their order does not matter to
     ``kernel_misr``, which takes the union of the solutions.
 
-    ``clock``, if given, bounds the whole family: ``grow`` reads its
-    deadline inline every 256th frame, the footprint loop every 256th
-    footprint, and each subproblem on its memo misses; an overrun raises
+    ``deadline``, if given, bounds the whole family; an overrun raises
     ``BudgetExceededError`` naming the stage, "family growth" or "capped
     MIS".
     """
@@ -591,15 +588,10 @@ def _solved_footprints(
     n = len(spans)
     limit = min(c, n)
     footprints: dict[int, None] = {}
-    deadline = None if clock is None else clock.deadline
-    frames = 0
 
     def grow(above: int, size: int, cells: int, frontier: int, banned: int, blocked: int) -> None:
-        nonlocal frames
-        if deadline is not None:
-            frames += 1
-            if frames % 256 == 0 and time.monotonic() > deadline:
-                raise _overrun("family growth")
+        if deadline is not None and time.monotonic() > deadline:
+            raise _overrun("family growth")
         footprints.setdefault(cells)
         if size >= limit:
             return
@@ -616,26 +608,26 @@ def _solved_footprints(
         grow(-2 << root, 1, spans[root], shares[root], 0, conflict[root])
 
     solved = {}
-    for count, cells in enumerate(footprints, 1):
-        if deadline is not None and count % 256 == 0 and time.monotonic() > deadline:
+    for cells in footprints:
+        if deadline is not None and time.monotonic() > deadline:
             raise _overrun("capped MIS")
-        sol = solve_cellset_subproblem(index, cells, c, clock)
+        sol = solve_cellset_subproblem(index, cells, c, deadline)
         if sol:
             solved[cells] = sol
     return solved
 
 
-def _candidate_family(index: tuple, c: int, clock: Optional[_Clock] = None) -> list[_Candidate]:
+def _candidate_family(index: tuple, c: int, deadline: Optional[float] = None) -> list[_Candidate]:
     """The ``_solved_footprints`` as candidates, in set-packing order.
 
     The family is sorted by -value, then by ascending cell list: per value,
     from the largest down, one bucket of footprints sorted with the key
     function ``_cell_order_key``, whose all-string keys take the sort's
     string fast path. A cell's bit index orders cells as (col, row) does,
-    and footprints are distinct, so no two keys tie. ``clock`` is passed to
-    ``_solved_footprints``.
+    and footprints are distinct, so no two keys tie. ``deadline`` is passed
+    to ``_solved_footprints``.
     """
-    solved = _solved_footprints(index, c, clock)
+    solved = _solved_footprints(index, c, deadline)
     buckets: dict[int, list[int]] = {}
     for cells, sol in solved.items():
         buckets.setdefault(len(sol), []).append(cells)
@@ -648,7 +640,7 @@ def _candidate_family(index: tuple, c: int, clock: Optional[_Clock] = None) -> l
 
 
 def _max_disjoint_collection(
-    cands: Sequence[_Candidate], k: int, clock: Optional[_Clock] = None
+    cands: Sequence[_Candidate], k: int, deadline: Optional[float] = None
 ) -> tuple[int, tuple[int, ...], int]:
     """Exact weighted set packing over cell-disjoint candidates.
 
@@ -675,11 +667,11 @@ def _max_disjoint_collection(
     there. The search takes one recursive frame per free candidate on the
     skip chain.
 
-    ``clock``, if given, lends its deadline, which every 256th frame reads
-    inline rather than through ``_Clock.tick``: the search runs close to
-    the recursion limit, and one more call per frame would lower the depth
-    it can reach. An overrun raises ``BudgetExceededError`` naming the
-    "set packing" stage.
+    ``deadline``, if given, is read at every frame by ``time.monotonic()``,
+    a C call that takes no Python frame: the search runs close to the
+    recursion limit, and a Python call per frame would lower the depth it
+    can reach. An overrun raises ``BudgetExceededError`` naming the "set
+    packing" stage.
     """
     values = [cd.value for cd in cands]
     if any(a < b for a, b in zip(values, values[1:])):
@@ -696,12 +688,11 @@ def _max_disjoint_collection(
     best_total = 0
     best_sol: tuple[int, ...] = ()
     nodes = 0
-    deadline = None if clock is None else clock.deadline
 
     def rec(free: int, picks: int, total: int, sol: tuple[int, ...]) -> None:
         nonlocal best_total, best_sol, nodes
         nodes += 1
-        if deadline is not None and nodes % 256 == 0 and time.monotonic() > deadline:
+        if deadline is not None and time.monotonic() > deadline:
             raise _overrun("set packing")
         if not free or picks >= k:
             return
@@ -780,9 +771,9 @@ def pas_misr(
     if not outcome.is_grid:
         meta["branch"] = "grid-witness"
         return PasMisrResult(outcome.witness, k, meta)
-    clock = None if budget is None else budget.start_clock()
-    cands = _candidate_family(cell_index(inst, outcome.grid), cap_c, clock)
-    best_total, best_sol, nodes = _max_disjoint_collection(cands, k, clock)
+    deadline = None if budget is None else budget.start_clock().deadline
+    cands = _candidate_family(cell_index(inst, outcome.grid), cap_c, deadline)
+    best_total, best_sol, nodes = _max_disjoint_collection(cands, k, deadline)
     meta["branch"] = "set-packing"
     meta["candidates"] = len(cands)
     meta["set_packing_nodes"] = nodes
@@ -822,8 +813,8 @@ def kernel_misr(
             tuple(sorted(outcome.witness)),
             {"c": cap_c, "k": k, "grid_shortcut": True},
         )
-    clock = None if budget is None else budget.start_clock()
-    solved = _solved_footprints(cell_index(inst, outcome.grid), cap_c, clock)
+    deadline = None if budget is None else budget.start_clock().deadline
+    solved = _solved_footprints(cell_index(inst, outcome.grid), cap_c, deadline)
     kernel: set[int] = set()
     for sol in solved.values():
         kernel.update(sol)

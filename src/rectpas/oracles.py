@@ -41,6 +41,12 @@ class BudgetExceededError(RuntimeError):
 
 @dataclass(frozen=True)
 class OracleBudget:
+    """Size bounds and an optional time limit in seconds for a search.
+
+    While a time limit is set, every search reads the clock at each of its
+    nodes, so an overrun ends at most one node past the deadline.
+    """
+
     max_items: int = 25
     max_solution_size: int = 8
     time_limit: Optional[float] = None
@@ -66,7 +72,7 @@ class _Clock:
         if self.deadline is None:
             return
         self.checks += 1
-        if self.checks % 256 == 0 and time.monotonic() > self.deadline:
+        if time.monotonic() > self.deadline:
             raise BudgetExceededError("oracle time budget exceeded")
 
 

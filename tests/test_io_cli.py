@@ -9,7 +9,6 @@ from rectpas.generators import (
     gen_figure_counterexample,
     gen_gknap_packed,
     gen_misr,
-    gen_random,
 )
 from rectpas.geometry import (
     GknapInstance,
@@ -114,14 +113,6 @@ def test_figure_counterexample_shape():
     assert not inst.rotations
 
 
-def test_gen_random_dispatch():
-    assert gen_random("misr", n=4, seed=0).kind == "misr"
-    assert gen_random("gknap", n=4, seed=0).kind == "gknap"
-    assert gen_random("figure3", k=4).kind == "gknap"
-    with pytest.raises(ValueError):
-        gen_random("nope", n=1)
-
-
 # ---------------------------------------------------------------------------
 # SVG
 
@@ -196,8 +187,7 @@ def test_cli_2dkr_budget_overrun_is_an_error(tmp_path, capsys):
     # 14 distinct items, each longer than half the board on both sides: no
     # two fit together, so both solvers probe all 246 triples that fit by
     # area. The subset enumeration and its probes tick one clock, which
-    # reads the time every 256 ticks; the enumeration's prefixes alone
-    # tick more often than that, so the run overruns a budget of a
+    # reads the time at every tick, so the run overruns a budget of a
     # microsecond however early each probe is cut.
     items = tuple(Item(14 + i % 5, 14 + i // 5) for i in range(14))
     g = fileio.save(fileio.InstanceFile("gknap", GknapInstance(27, items)), tmp_path / "g.json")
@@ -211,9 +201,8 @@ def test_cli_2dkr_budget_overrun_is_an_error(tmp_path, capsys):
 
 
 def test_cli_misr_pas_budget_overrun_is_an_error(tmp_path, capsys):
-    # The footprints of the family and the set-packing frames tick one
-    # clock, which reads the time every 256 ticks. A generous budget
-    # writes the same bytes as none.
+    # The family and the set packing read one deadline at every frame
+    # and footprint. A generous budget writes the same bytes as none.
     i = tmp_path / "i.json"
     assert cli_dispatch(["gen", "misr", "--n", "22", "--seed", "5", "--span", "16", "--out", str(i)]) == 0
     argv = ["solve", "misr-pas", str(i), "--k", "6", "--cap-c", "6"]
@@ -528,6 +517,7 @@ def test_cli_eps_is_exact(tmp_path):
 
 
 def test_cli_usage_errors(tmp_path):
+    assert cli_dispatch(["gen", "nope"]) == 1  # unknown generator kind
     assert cli_dispatch(["solve", "misr-pas", "nope.json"]) == 1  # missing --k
     assert cli_dispatch(["solve", "misr-exact", str(tmp_path / "missing.json"), "--k", "1"]) == 1
     assert cli_dispatch(["reduce", "mss-to-2dkr", "--xs", "1,1,2,3", "--t", "9", "--k", "4"]) == 1

@@ -31,7 +31,6 @@ from rectpas.misr import (
 from rectpas.oracles import (
     BudgetExceededError,
     CellSet,
-    OracleBudget,
     _block_cells,
     all_blocks,
     enumerate_cell_sets,
@@ -543,7 +542,7 @@ def test_candidate_family_matches_referee_family(monkeypatch):
         rows.append((inst, grid, cap, misr._candidate_family(cell_index(inst, grid), cap)))
     row_index = None
 
-    def referee(index, cells, cap, clock=None):
+    def referee(index, cells, cap, deadline=None):
         spans, _, conflict = row_index
         return _capped_mis_referee(spans, conflict, cells, cap)
 
@@ -557,43 +556,49 @@ def test_candidate_family_matches_referee_family(monkeypatch):
 
 
 def test_capped_mis_reads_its_deadline_on_a_memo_miss():
-    """Past its deadline a clock stops a subproblem at its first memo miss;
-    the memo keeps only finished entries, so the call then answers."""
+    """Past its deadline a subproblem stops at its first memo miss; the
+    memo keeps only finished entries, so the call then answers."""
     inst = normalize_instance(gen_misr(n=22, seed=5, span=16, max_side=9).instance)
     grid = build_grid(inst, 9).grid
     every = (1 << grid.n_cols * grid.n_rows) - 1
-    expired = OracleBudget(time_limit=1).start_clock()
-    expired.deadline = float("-inf")
     index = cell_index(inst, grid)
     with pytest.raises(BudgetExceededError, match="time budget exceeded in capped MIS"):
-        solve_cellset_subproblem(index, every, 9, expired)
+        solve_cellset_subproblem(index, every, 9, float("-inf"))
     assert index[3] == {}
     spans, _, conflict = _referee_index(inst, grid)
     assert solve_cellset_subproblem(index, every, 9) == _capped_mis_referee(spans, conflict, every, 9)
 
 
-def test_family_growth_reads_its_deadline_every_256_frames():
+def _counting_clock(monkeypatch):
+    """Replace misr's clock by one that reads 0.0 and counts its reads."""
+    reads = []
+    monkeypatch.setattr(misr, "time", SimpleNamespace(monotonic=lambda: reads.append(0.0) or 0.0))
+    return reads
+
+
+def test_family_growth_reads_its_deadline_at_every_frame(monkeypatch):
     """n identical rectangles at cap 1 take n growth frames, one footprint
-    and no memo entry. Past its deadline, a clock stops 256 of them at
-    frame 256, while 255 of them end as they do without a clock."""
-    expired = OracleBudget(time_limit=1).start_clock()
-    expired.deadline = float("-inf")
-    for n in (255, 256):
+    and no memo entry: a live deadline is read n + 1 times, and one that
+    has passed stops growth at its first frame."""
+    reads = _counting_clock(monkeypatch)
+    for n in (1, 300):
         inst = _inst(*[(0, 0, 1, 1)] * n)
         index = cell_index(inst, build_grid(inst, 2).grid)
         family = misr._candidate_family(index, 1)
         assert [cd.solution for cd in family] == [(0,)]
-        assert index[3] == {}
-        if n == 255:
-            assert misr._candidate_family(index, 1, expired) == family
-        else:
-            with pytest.raises(BudgetExceededError, match="time budget exceeded in family growth"):
-                misr._candidate_family(index, 1, expired)
+        assert index[3] == {} and reads == []
+        assert misr._candidate_family(index, 1, 1.0) == family
+        assert len(reads) == n + 1
+        reads.clear()
+        with pytest.raises(BudgetExceededError, match="time budget exceeded in family growth"):
+            misr._candidate_family(index, 1, -1.0)
+        assert len(reads) == 1
+        reads.clear()
 
 
-def test_footprint_loop_reads_its_deadline_every_256_footprints(monkeypatch):
-    """A deadline that passes while the footprints are being solved stops
-    the family at the 256th footprint, naming the capped-MIS stage."""
+def test_footprint_loop_reads_its_deadline_at_every_footprint(monkeypatch):
+    """A deadline that passes while the first footprint is being solved
+    stops the family at the second, naming the capped-MIS stage."""
     inst = normalize_instance(gen_misr(n=22, seed=5, span=16, max_side=9).instance)
     index = cell_index(inst, build_grid(inst, 9).grid)
     now = [0.0]
@@ -601,15 +606,15 @@ def test_footprint_loop_reads_its_deadline_every_256_footprints(monkeypatch):
     solved = []
     real = misr.solve_cellset_subproblem
 
-    def solve(index, cells, cap, clock=None):
+    def solve(index, cells, cap, deadline=None):
         solved.append(cells)
         now[0] = float("inf")  # growth is over: its frames read 0.0
         return real(index, cells, cap)
 
     monkeypatch.setattr(misr, "solve_cellset_subproblem", solve)
     with pytest.raises(BudgetExceededError, match="time budget exceeded in capped MIS"):
-        misr._candidate_family(index, 9, OracleBudget(time_limit=1).start_clock())
-    assert len(solved) == 255
+        misr._candidate_family(index, 9, 1.0)
+    assert len(solved) == 1
 
 
 def _cells(mask):
@@ -891,21 +896,22 @@ def test_set_packing_matches_bruteforce():
         assert (total, sol) == _set_packing_referee(cands, k), (cands, k)
 
 
-def test_set_packing_reads_its_deadline_every_256_frames():
-    """n pairwise disjoint candidates take 2n + 1 frames. Past its deadline,
-    a clock stops 128 of them (257 frames) at frame 256, while 127 of them
-    (255 frames) end as they do without a clock."""
-    expired = OracleBudget(time_limit=1).start_clock()
-    expired.deadline = float("-inf")
-    for n in (127, 128):
+def test_set_packing_reads_its_deadline_at_every_frame(monkeypatch):
+    """n pairwise disjoint candidates take 2n + 1 frames: a live deadline
+    is read at each of them, and one that has passed stops the search at
+    its first frame."""
+    reads = _counting_clock(monkeypatch)
+    for n in (1, 128):
         cands = [misr._Candidate(1 << i, (i,)) for i in range(n)]
         found = misr._max_disjoint_collection(cands, n)
-        assert found == (n, tuple(range(n)), 2 * n + 1)
-        if n == 127:
-            assert misr._max_disjoint_collection(cands, n, expired) == found
-        else:
-            with pytest.raises(BudgetExceededError, match="time budget exceeded in set packing"):
-                misr._max_disjoint_collection(cands, n, expired)
+        assert found == (n, tuple(range(n)), 2 * n + 1) and reads == []
+        assert misr._max_disjoint_collection(cands, n, 1.0) == found
+        assert len(reads) == 2 * n + 1
+        reads.clear()
+        with pytest.raises(BudgetExceededError, match="time budget exceeded in set packing"):
+            misr._max_disjoint_collection(cands, n, -1.0)
+        assert len(reads) == 1
+        reads.clear()
 
 
 def test_set_packing_node_count():

@@ -1,5 +1,6 @@
 import random
 import sys
+import time
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import combinations, product
@@ -97,6 +98,17 @@ def test_mis_budget_guard():
     inst = MisrInstance.from_coords([(i, 0, i + 1, 1) for i in range(5)])
     with pytest.raises(BudgetExceededError):
         mis_rectangles_exact(inst, OracleBudget(max_items=3))
+
+
+def test_mis_exact_stops_within_its_time_limit():
+    # A node of this search builds a clique cover over up to 700 live
+    # rectangles, so a deadline read every few hundred nodes would be
+    # seconds late; read at each node it is one node late.
+    inst = normalize_instance(gen_misr(n=700, seed=1, span=2000).instance)
+    start = time.monotonic()
+    with pytest.raises(BudgetExceededError, match="time budget"):
+        mis_rectangles_exact(inst, OracleBudget(max_items=700, time_limit=0.5))
+    assert time.monotonic() - start <= 0.5 + 0.25
 
 
 def test_budget_rejects_a_time_limit_that_is_not_positive():
@@ -354,24 +366,25 @@ def test_knapsack_bounds_the_sizes_it_probes(monkeypatch):
 
 
 def test_probes_share_the_run_clock(monkeypatch):
-    # No two of these squares fit together, so each subset ticks the clock
-    # at least twice: once in the subset loop and once at the root of its
-    # probe. With one clock for the run, its 256th tick, the first time it
-    # reads the time, comes within 128 subsets. A clock per probe would
-    # leave the deadline to the loop's own 256th tick, after 255 probes.
-    now = iter([0.0])
-    monkeypatch.setattr(oracles, "time", SimpleNamespace(monotonic=lambda: next(now, 2.0)))
-    probes = []
+    # No two of these squares fit together, so the bounds reject each
+    # probe with one tick of the clock. The run's deadline passes as the
+    # first probe starts: with one clock for the run, that probe's tick
+    # raises. A clock of its own, started then, would let it answer.
+    now = [0.0]
+    monkeypatch.setattr(oracles, "time", SimpleNamespace(monotonic=lambda: now[0]))
+    probes, answered = [], []
     probe = oracles.packing_feasible_exact
 
     def counting(*args):
         probes.append(args)
-        return probe(*args)
+        now[0] = 2.0
+        answered.append(probe(*args))
+        return answered[-1]
 
     monkeypatch.setattr(oracles, "packing_feasible_exact", counting)
     with pytest.raises(BudgetExceededError, match="time budget"):
         knapsack_exact([Item(11, 11)] * 14, 20, 20, 3, True, OracleBudget(time_limit=1))
-    assert 0 < len(probes) <= 128
+    assert len(probes) == 1 and answered == []
 
 
 def test_knapsack_matches_subset_scan():
