@@ -36,6 +36,8 @@ from .misr import (
     build_G1,
     build_G2,
     build_grid,
+    cell_index,
+    cell_mask,
     kernel_misr,
     pas_misr,
     solve_cellset_subproblem,

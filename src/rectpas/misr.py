@@ -386,8 +386,9 @@ def cell_index(
 
 def solve_cellset_subproblem(
     index: tuple, cells: int, cap: int, deadline: Optional[float] = None
-) -> tuple[int, ...]:
-    """Best feasible subset of size <= cap among rectangles inside the cells.
+) -> int:
+    """Best feasible subset of size <= cap among rectangles inside the cells,
+    as a rectangle mask (bit i set for rectangle i).
 
     ``index`` is the ``cell_index`` of the instance and grid, and ``cells``
     a cell mask as built by ``cell_mask``. A rectangle lies inside iff its
@@ -416,9 +417,21 @@ def solve_cellset_subproblem(
     serves every call on the same index; r is clamped to the popcount of
     avail, which changes no answer.
 
-    ``deadline``, a ``time.monotonic()`` value, is read on each memo miss;
-    past it the call raises ``BudgetExceededError``, and the memo keeps
-    only finished entries.
+    A memo miss under r >= 2 is answered per conflict component of the
+    inside set (a bit BFS over the conflict masks): component C takes the
+    answer for C under cap min(|C|, r), read from or stored in the same
+    memo, so no search runs deeper or wider than under cap r. A single
+    component is the call itself. With two or more, a capped component
+    answer has r members and the others add at least one, so if the answer
+    sizes sum to at most r, none was capped: each is its component's
+    lexicographically smallest maximum set. The independence number adds
+    up over components, and two sets of equal size first differ inside one
+    component, so their union is the answer. Once the sum passes r the
+    call falls back to ``_capped_best`` on the whole inside set.
+
+    ``deadline``, a ``time.monotonic()`` value, is read on each
+    ``_capped_best`` call; past it the call raises ``BudgetExceededError``,
+    and the memo keeps only finished entries.
     """
     if cap < 0:
         raise ValueError("cap must be non-negative")
@@ -427,18 +440,37 @@ def solve_cellset_subproblem(
     inside = ((1 << shift) - 1) & ~_table_or(tables, ~cells)
     r = min(cap, inside.bit_count())
     if r < 2:
-        found = inside & -inside if r else 0
-    else:
-        key = r << shift | inside
-        found = memo.get(key)
-        if found is None:
-            found = _capped_best(inside, r, key, conflict, memo, shift, deadline)
-    solution = []  # a solution mask has at most cap bits: one step per rectangle, not per bit
-    while found:
-        low = found & -found
-        solution.append(low.bit_length() - 1)
-        found ^= low
-    return tuple(solution)
+        return inside & -inside if r else 0
+    key = r << shift | inside
+    found = memo.get(key)
+    if found is not None:
+        return found
+    found = total = 0
+    rest = inside
+    while rest:
+        comp = frontier = rest & -rest
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            new = conflict[low.bit_length() - 1] & rest & ~comp
+            comp |= new
+            frontier |= new
+        rest ^= comp
+        size = comp.bit_count()
+        if size < 2:
+            got = comp
+        else:
+            comp_r = size if size < r else r
+            comp_key = comp_r << shift | comp
+            got = memo.get(comp_key)
+            if got is None:
+                got = _capped_best(comp, comp_r, comp_key, conflict, memo, shift, deadline)
+        total += got.bit_count()
+        if total > r:
+            return _capped_best(inside, r, key, conflict, memo, shift, deadline)
+        found |= got
+    memo[key] = found
+    return found
 
 
 def _capped_best(
@@ -490,11 +522,21 @@ def _capped_best(
 
 class _Candidate(NamedTuple):
     cells: int  # cell mask, see cell_mask
-    solution: tuple[int, ...]
+    solution: int  # rectangle mask, see solve_cellset_subproblem
 
     @property
     def value(self) -> int:
-        return len(self.solution)
+        return self.solution.bit_count()
+
+
+def _members(mask: int) -> tuple[int, ...]:
+    """The set bits of a mask, ascending: one step per set bit, not per bit."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
 
 
 def _overrun(stage: str) -> BudgetExceededError:
@@ -564,7 +606,7 @@ def _table_or(tables: Sequence[Sequence[int]], mask: int) -> int:
 
 def _solved_footprints(
     index: tuple, c: int, deadline: Optional[float] = None
-) -> dict[int, tuple[int, ...]]:
+) -> dict[int, int]:
     """Footprints of cell-connected independent subsets, solved under cap c.
 
     Every union of blocks worth value v contains an independent subset of v
@@ -576,9 +618,9 @@ def _solved_footprints(
     masks. Disconnected unions split into equivalent separate candidates.
     Each distinct footprint, in order of discovery, is solved once through
     ``solve_cellset_subproblem`` on the same index, so the footprints share
-    its memo. Returns footprint -> solution, in discovery order, for the
-    footprints whose solution is not empty; their order does not matter to
-    ``kernel_misr``, which takes the union of the solutions.
+    its memo. Returns footprint -> solution mask, in discovery order, for
+    the footprints whose solution is not empty; their order does not matter
+    to ``kernel_misr``, which takes the union of the solutions.
 
     ``deadline``, if given, bounds the whole family; an overrun raises
     ``BudgetExceededError`` naming the stage, "family growth" or "capped
@@ -620,17 +662,17 @@ def _solved_footprints(
 def _candidate_family(index: tuple, c: int, deadline: Optional[float] = None) -> list[_Candidate]:
     """The ``_solved_footprints`` as candidates, in set-packing order.
 
-    The family is sorted by -value, then by ascending cell list: per value,
-    from the largest down, one bucket of footprints sorted with the key
-    function ``_cell_order_key``, whose all-string keys take the sort's
-    string fast path. A cell's bit index orders cells as (col, row) does,
-    and footprints are distinct, so no two keys tie. ``deadline`` is passed
-    to ``_solved_footprints``.
+    The family is sorted by -value, then by ascending cell list: per value
+    (the popcount of the solution mask), from the largest down, one bucket
+    of footprints sorted with the key function ``_cell_order_key``, whose
+    all-string keys take the sort's string fast path. A cell's bit index
+    orders cells as (col, row) does, and footprints are distinct, so no two
+    keys tie. ``deadline`` is passed to ``_solved_footprints``.
     """
     solved = _solved_footprints(index, c, deadline)
     buckets: dict[int, list[int]] = {}
     for cells, sol in solved.items():
-        buckets.setdefault(len(sol), []).append(cells)
+        buckets.setdefault(sol.bit_count(), []).append(cells)
     family = []
     for value in sorted(buckets, reverse=True):
         bucket = buckets[value]
@@ -658,14 +700,16 @@ def _max_disjoint_collection(
     k - picks values, read from prefix sums; that window sum never grows
     with the position, so a blocked position jumped over would prune no
     branch that the next free one keeps. Returns the best total, the union
-    of the chosen sub-solutions, breaking value ties towards the
-    lexicographically smallest rectangle index set, and the number of
-    search frames. A (total, solution) pair is compared only right after an
-    include makes it, and its union is sorted only when the total can win
-    or tie: a skip child carries its parent's pair, which was
-    compared already, and the best only improves, so it can never win
-    there. The search takes one recursive frame per free candidate on the
-    skip chain.
+    of the chosen sub-solutions as a sorted tuple, breaking value ties
+    towards the lexicographically smallest rectangle index set, and the
+    number of search frames. The union is carried as the OR of the
+    solution masks. Solutions of cell-disjoint footprints are disjoint, so
+    a total is the popcount of its union, and of two unions of equal total
+    the smaller sorted tuple is the one holding the lowest bit of their XOR.
+    A (total, union) pair is compared only right after an include makes it:
+    a skip child carries its parent's pair, which was compared already, and
+    the best only improves, so it can never win there. The search takes one
+    recursive frame per free candidate on the skip chain.
 
     ``deadline``, if given, is read at every frame by ``time.monotonic()``,
     a C call that takes no Python frame: the search runs close to the
@@ -685,11 +729,9 @@ def _max_disjoint_collection(
     cell_tables = _or_tables(_bit_columns(masks, max(masks, default=0).bit_length()))
     n_bytes = len(cell_tables)
     hits = [0] * len(cands)  # position -> positions meeting its cells; 0 until built
-    best_total = 0
-    best_sol: tuple[int, ...] = ()
-    nodes = 0
+    best_total = best_sol = nodes = 0
 
-    def rec(free: int, picks: int, total: int, sol: tuple[int, ...]) -> None:
+    def rec(free: int, picks: int, total: int, sol: int) -> None:
         nonlocal best_total, best_sol, nodes
         nodes += 1
         if deadline is not None and time.monotonic() > deadline:
@@ -700,11 +742,11 @@ def _max_disjoint_collection(
         pos = low.bit_length() - 1
         if total + prefix[pos + k - picks] - prefix[pos] < best_total:
             return
-        inc_total, inc_sol = total + values[pos], sol + sols[pos]
+        inc_total, inc_sol = total + values[pos], sol | sols[pos]
         if inc_total >= best_total:
-            ordered = tuple(sorted(inc_sol))
-            if inc_total > best_total or ordered < best_sol:
-                best_total, best_sol = inc_total, ordered
+            diff = inc_sol ^ best_sol
+            if inc_total > best_total or diff & -diff & inc_sol:
+                best_total, best_sol = inc_total, inc_sol
         if not hits[pos]:
             hit = 0  # _table_or, written out: a call here would cost a frame of depth
             for table, byte in zip(cell_tables, masks[pos].to_bytes(n_bytes, "little")):
@@ -713,8 +755,8 @@ def _max_disjoint_collection(
         rec(free & ~hits[pos], picks + 1, inc_total, inc_sol)
         rec(free ^ low, picks, total, sol)
 
-    rec((1 << len(cands)) - 1, 0, 0, ())
-    return best_total, best_sol, nodes
+    rec((1 << len(cands)) - 1, 0, 0, 0)
+    return best_total, _members(best_sol), nodes
 
 
 def theory_cap(epsilon: Fraction | float) -> int:
@@ -760,7 +802,10 @@ def pas_misr(
     ``budget.time_limit``, if set, is one deadline for the family's
     growth and subproblems and the set packing; an overrun raises
     ``BudgetExceededError``. The budget's size bounds do not apply here.
-    A cap c below 1 raises ``ValueError``.
+    A cap c below 1 raises ``ValueError``. The set packing recurses once
+    per free candidate on its skip chain; a family too large for the
+    recursion limit raises ``RecursionError`` naming set packing and the
+    candidate count.
     """
     eps = as_epsilon(epsilon)
     cap_c = theory_cap(eps) if c is None else c
@@ -773,7 +818,12 @@ def pas_misr(
         return PasMisrResult(outcome.witness, k, meta)
     deadline = None if budget is None else budget.start_clock().deadline
     cands = _candidate_family(cell_index(inst, outcome.grid), cap_c, deadline)
-    best_total, best_sol, nodes = _max_disjoint_collection(cands, k, deadline)
+    try:  # a try block adds no frame to the set packing's recursion
+        best_total, best_sol, nodes = _max_disjoint_collection(cands, k, deadline)
+    except RecursionError:
+        raise RecursionError(
+            f"set packing over {len(cands)} candidates exceeds the recursion limit"
+        ) from None
     meta["branch"] = "set-packing"
     meta["candidates"] = len(cands)
     meta["set_packing_nodes"] = nodes
@@ -794,17 +844,20 @@ def kernel_misr(
 
     When the grid step finds k independent rectangles, they are the kernel.
     Otherwise each candidate cell set contributes its capped subproblem
-    solution; the union preserves a (1-eps) fraction of min(k, OPT)
+    solution, a rectangle mask; the kernel is the OR of those masks, listed
+    as a sorted tuple. The union preserves a (1-eps) fraction of min(k, OPT)
     whenever the family covers the structured groups. The kernel size is
     bounded by c times the candidate count, itself at most k^(4c): a
     footprint is a union of at most c rectangle spans, each a block of the
-    grid's fewer than k^2 cells. A cap c below 1 raises ``ValueError``.
+    grid's fewer than k^2 cells. An epsilon outside (0, 1] or a cap c below
+    1 raises ``ValueError``, whether or not c is given.
 
     ``budget.time_limit``, if set, is one deadline for the family's growth
     and subproblems, as in ``pas_misr``; an overrun raises
     ``BudgetExceededError``.
     """
-    cap_c = theory_cap(epsilon) if c is None else c
+    eps = as_epsilon(epsilon)
+    cap_c = theory_cap(eps) if c is None else c
     if cap_c < 1:
         raise ValueError(f"c must be positive, got {cap_c}")
     outcome = build_grid(inst, k)
@@ -815,10 +868,10 @@ def kernel_misr(
         )
     deadline = None if budget is None else budget.start_clock().deadline
     solved = _solved_footprints(cell_index(inst, outcome.grid), cap_c, deadline)
-    kernel: set[int] = set()
+    kernel = 0
     for sol in solved.values():
-        kernel.update(sol)
+        kernel |= sol
     return KernelReport(
-        tuple(sorted(kernel)),
+        _members(kernel),
         {"c": cap_c, "k": k, "grid_shortcut": False, "candidates": len(solved)},
     )

@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import random
+import sys
 import weakref
 from fractions import Fraction
 from itertools import combinations
@@ -361,9 +362,15 @@ def test_cellset_signature_invariant():
         CellSet(frozenset({(0, 0)}), ((0, 0, 1, 1),))
 
 
+def _rects(mask):
+    """A rectangle mask, as capped MIS and set packing carry it, as the
+    ascending tuple of its rectangle indices."""
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
 def test_subproblem_empty_cells():
     out = build_grid(DIAGONAL3, 4)
-    assert solve_cellset_subproblem(cell_index(DIAGONAL3, out.grid), cell_mask(out.grid, ()), 3) == ()
+    assert _rects(solve_cellset_subproblem(cell_index(DIAGONAL3, out.grid), cell_mask(out.grid, ()), 3)) == ()
 
 
 def test_subproblem_disjoint_and_conflicting():
@@ -373,7 +380,7 @@ def test_subproblem_disjoint_and_conflicting():
         for c in range(out.grid.n_cols)
         for r in range(out.grid.n_rows)
     )
-    assert solve_cellset_subproblem(cell_index(DIAGONAL3, out.grid), cell_mask(out.grid, every), 3) == (0, 1, 2)
+    assert _rects(solve_cellset_subproblem(cell_index(DIAGONAL3, out.grid), cell_mask(out.grid, every), 3)) == (0, 1, 2)
     clique = _inst((0, 0, 4, 4), (1, 1, 5, 5), (2, 2, 6, 6))
     outc = build_grid(clique, 4)
     if outc.is_grid:
@@ -381,7 +388,7 @@ def test_subproblem_disjoint_and_conflicting():
             (c, r) for c in range(outc.grid.n_cols) for r in range(outc.grid.n_rows)
         )
         sol = solve_cellset_subproblem(cell_index(clique, outc.grid), cell_mask(outc.grid, allc), 3)
-        assert len(sol) == 1
+        assert len(_rects(sol)) == 1
 
 
 def _referee_index(inst, grid):
@@ -455,7 +462,7 @@ def test_capped_mis_matches_include_first_search():
         for cells in masks:
             rng.shuffle(caps)
             for cap in caps:
-                got = solve_cellset_subproblem(index, cells, cap)
+                got = _rects(solve_cellset_subproblem(index, cells, cap))
                 assert got == _capped_mis_referee(spans, conflict, cells, cap), (seed, cells, cap)
                 checked += 1
     assert checked == sum(5 * (2 + s % 15 + 2) for s in range(300))
@@ -475,7 +482,7 @@ def test_inside_mask_matches_span_scan(monkeypatch):
     footprints = []
     real = misr.solve_cellset_subproblem
     # growth still visits every footprint when each one solves to nothing
-    monkeypatch.setattr(misr, "solve_cellset_subproblem", lambda _, cells, *rest: footprints.append(cells) or ())
+    monkeypatch.setattr(misr, "solve_cellset_subproblem", lambda _, cells, *rest: footprints.append(cells) or 0)
     rng = random.Random(12)
     checked = 0
     for seed in range(14):
@@ -495,14 +502,14 @@ def test_inside_mask_matches_span_scan(monkeypatch):
         unblocked = (spans, shares, (0,) * inst.n, {}, tables)
         for cells in masks:
             inside = tuple(i for i, span in enumerate(spans) if not span & ~cells)
-            assert real(unblocked, cells, inst.n) == inside, (seed, cells)
+            assert _rects(real(unblocked, cells, inst.n)) == inside, (seed, cells)
         checked += len(footprints)
     assert checked == 10273  # the footprints of the 14 families
     empty = MisrInstance(())
     index = cell_index(empty, build_grid(empty, 1).grid)
     assert index == ((), (), (), {}, ())
     for cells in (0, 1, 0b1011):
-        assert real(index, cells, 3) == ()
+        assert _rects(real(index, cells, 3)) == ()
 
 
 def test_capped_mis_memo_serves_every_cap():
@@ -513,20 +520,85 @@ def test_capped_mis_memo_serves_every_cap():
     every = (1 << grid.n_cols * grid.n_rows) - 1
     index = cell_index(inst, grid)
     memo = index[3]
-    down = [solve_cellset_subproblem(index, every, cap) for cap in range(23, -1, -1)]
+    down = [_rects(solve_cellset_subproblem(index, every, cap)) for cap in range(23, -1, -1)]
     size = len(memo)
-    up = [solve_cellset_subproblem(index, every, cap) for cap in range(24)]
+    up = [_rects(solve_cellset_subproblem(index, every, cap)) for cap in range(24)]
     assert (up[::-1], len(memo)) == (down, size)
     assert [len(sol) for sol in up] == [min(cap, 9) for cap in range(24)]  # OPT is 9
 
 
 def test_capped_mis_memo_size():
     """The memo's entry count is deterministic: a bench instance's family,
-    whose 888 footprints leave 2707 entries."""
+    whose 888 footprints leave 1727 entries (2707 when no call is answered
+    per conflict component)."""
     inst = normalize_instance(gen_misr(n=22, seed=5, span=16, max_side=9).instance)
     index = cell_index(inst, build_grid(inst, 9).grid)
     assert len(misr._candidate_family(index, 9)) == 888
-    assert len(index[3]) == 2707
+    assert len(index[3]) == 1727
+
+
+def _clusters(rng, n_clusters):
+    """Seeded small instances side by side, each in its own x range (gen_misr
+    keeps span=6 coordinates within 0..6), so no two clusters conflict and
+    the whole set has n_clusters or more conflict components."""
+    coords = []
+    for j in range(n_clusters):
+        part = gen_misr(n=rng.randrange(1, 7), seed=rng.randrange(10**6), span=6, max_side=4).instance
+        coords += [(r.x1 + 8 * j, r.y1, r.x2 + 8 * j, r.y2) for r in part.rects]
+    return _inst(*coords)
+
+
+def test_capped_mis_per_component_matches_include_first_search(monkeypatch):
+    """Instances of two to four conflict-free clusters, with every cell (an
+    inside set of two or more conflict components) and a random cell set,
+    at every cap from 0 to two above the sum of the component optima: the
+    answer is the referee's whether the component answers are united
+    (their sizes sum to at most the cap) or the call falls back to one
+    search over the whole inside set (they sum to more), and both happen."""
+    avails = []
+    real = misr._capped_best
+    monkeypatch.setattr(misr, "_capped_best", lambda avail, *rest: avails.append(avail) or real(avail, *rest))
+    rng = random.Random(25)
+    paths = {"union": 0, "fallback": 0}
+    for _ in range(120):
+        inst = _clusters(rng, rng.randrange(2, 5))
+        grid = build_grid(inst, inst.n + 1).grid
+        spans, _, conflict = _referee_index(inst, grid)
+        n_cells = grid.n_cols * grid.n_rows
+        for cells in ((1 << n_cells) - 1, rng.getrandbits(n_cells) | rng.getrandbits(n_cells)):
+            inside = sum(1 << i for i, span in enumerate(spans) if not span & ~cells)
+            alpha = len(_capped_mis_referee(spans, conflict, cells, inst.n))
+            for cap in range(alpha + 3):
+                avails.clear()
+                got = _rects(solve_cellset_subproblem(cell_index(inst, grid), cells, cap))
+                assert got == _capped_mis_referee(spans, conflict, cells, cap), (inst, cells, cap)
+                if 2 <= cap < inside.bit_count():
+                    paths["fallback" if inside in avails else "union"] += 1
+    assert min(paths.values()) > 100, paths
+
+
+def test_capped_mis_component_calls_keep_their_cap():
+    """A chain of 40 overlapping rectangles and one apart from it, at caps
+    2 and 3, with room for cap + 10 frames above the caller: the chain's
+    component call runs under the cap, not under its own size, which
+    would recurse about 20 deep (its optimum)."""
+    chain = [(2 * i, 0, 2 * i + 3, 1) for i in range(40)] + [(0, 5, 1, 6)]
+    inst = _inst(*chain)
+    grid = build_grid(inst, inst.n + 1).grid
+    spans, _, conflict = _referee_index(inst, grid)
+    every = (1 << grid.n_cols * grid.n_rows) - 1
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    for cap in (2, 3):
+        index = cell_index(inst, grid)
+        sys.setrecursionlimit(depth + cap + 10)
+        try:
+            got = solve_cellset_subproblem(index, every, cap)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert _rects(got) == _capped_mis_referee(spans, conflict, every, cap) == tuple(range(0, 2 * cap, 2))
 
 
 def test_candidate_family_matches_referee_family(monkeypatch):
@@ -544,7 +616,7 @@ def test_candidate_family_matches_referee_family(monkeypatch):
 
     def referee(index, cells, cap, deadline=None):
         spans, _, conflict = row_index
-        return _capped_mis_referee(spans, conflict, cells, cap)
+        return sum(1 << i for i in _capped_mis_referee(spans, conflict, cells, cap))
 
     monkeypatch.setattr(misr, "solve_cellset_subproblem", referee)
     for inst, grid, cap, family in rows:
@@ -552,7 +624,7 @@ def test_candidate_family_matches_referee_family(monkeypatch):
         assert family == misr._candidate_family(cell_index(inst, grid), cap)
         bits = grid.n_cols * grid.n_rows
         cells = {cd.cells: [i for i in range(bits) if cd.cells >> i & 1] for cd in family}
-        assert family == sorted(family, key=lambda cd: (-cd.value, cells[cd.cells], cd.solution))
+        assert family == sorted(family, key=lambda cd: (-cd.value, cells[cd.cells], _rects(cd.solution)))
 
 
 def test_capped_mis_reads_its_deadline_on_a_memo_miss():
@@ -566,7 +638,7 @@ def test_capped_mis_reads_its_deadline_on_a_memo_miss():
         solve_cellset_subproblem(index, every, 9, float("-inf"))
     assert index[3] == {}
     spans, _, conflict = _referee_index(inst, grid)
-    assert solve_cellset_subproblem(index, every, 9) == _capped_mis_referee(spans, conflict, every, 9)
+    assert _rects(solve_cellset_subproblem(index, every, 9)) == _capped_mis_referee(spans, conflict, every, 9)
 
 
 def _counting_clock(monkeypatch):
@@ -585,7 +657,7 @@ def test_family_growth_reads_its_deadline_at_every_frame(monkeypatch):
         inst = _inst(*[(0, 0, 1, 1)] * n)
         index = cell_index(inst, build_grid(inst, 2).grid)
         family = misr._candidate_family(index, 1)
-        assert [cd.solution for cd in family] == [(0,)]
+        assert [_rects(cd.solution) for cd in family] == [(0,)]
         assert index[3] == {} and reads == []
         assert misr._candidate_family(index, 1, 1.0) == family
         assert len(reads) == n + 1
@@ -716,6 +788,15 @@ def test_pas_and_kernel_reject_a_cap_below_one():
             kernel_misr(DIAGONAL3, 3, 0.5, c=c)  # before the grid shortcut, too
 
 
+def test_pas_and_kernel_reject_an_epsilon_outside_the_unit_interval():
+    """Also when the cap is given, so that no theory cap is computed."""
+    for eps in (7, 0, -1):
+        with pytest.raises(ValueError, match="epsilon must lie in"):
+            pas_misr(DIAGONAL3, 4, eps, c=3)
+        with pytest.raises(ValueError, match="epsilon must lie in"):
+            kernel_misr(DIAGONAL3, 4, eps, c=3)
+
+
 def test_pas_and_kernel_keep_nothing_alive(monkeypatch):
     """The index and its memo belong to one run: once pas_misr or
     kernel_misr returns, its instance and grid can be collected."""
@@ -786,7 +867,7 @@ def _cellset_referee(inst, grid, k, c, b):
     index = cell_index(inst, grid)
     for cs in enumerate_cell_sets(grid, b):
         mask = cell_mask(grid, cs.cells)
-        value = len(solve_cellset_subproblem(index, mask, c))
+        value = len(_rects(solve_cellset_subproblem(index, mask, c)))
         if value:
             sets.append((len(cs.cells), mask, value))
     kept = []
@@ -870,7 +951,7 @@ def _set_packing_referee(cands, k):
                 used |= cd.cells
             else:
                 total = sum(cd.value for cd in combo)
-                union = tuple(sorted(i for cd in combo for i in cd.solution))
+                union = tuple(sorted(i for cd in combo for i in _rects(cd.solution)))
                 if total > best[0] or (total == best[0] and union < best[1]):
                     best = (total, union)
     return best
@@ -888,12 +969,27 @@ def test_set_packing_matches_bruteforce():
             # three rectangles per cell, so cell-disjoint candidates have
             # disjoint solutions, as capped subproblem solutions do
             inside = [3 * cell + j for cell in range(n_cells) if cells >> cell & 1 for j in range(3)]
-            sol = tuple(sorted(rng.sample(inside, rng.randrange(1, 4))))
+            sol = sum(1 << i for i in rng.sample(inside, rng.randrange(1, 4)))
             cands.append(misr._Candidate(cells, sol))
         cands.sort(key=lambda cd: -cd.value)  # ties keep their random order
         k = rng.randrange(1, 6)
         total, sol, _ = misr._max_disjoint_collection(cands, k)
         assert (total, sol) == _set_packing_referee(cands, k), (cands, k)
+
+
+def test_set_packing_breaks_ties_by_sorted_union():
+    """Two collections of total 2: {P1, P2} with union {1, 2}, found
+    first, and {Q1, Q2} with union {0, 9}, which each meet both P's. As
+    sorted tuples (0, 9) < (1, 2), though as ints 0b1000000001 > 0b110, so
+    the tie-break must read the lowest bit of the XOR of the unions."""
+    cands = [
+        misr._Candidate(0b0011, 1 << 1),  # P1, cells 0 and 1
+        misr._Candidate(0b0101, 1 << 0),  # Q1, cells 0 and 2
+        misr._Candidate(0b1010, 1 << 9),  # Q2, cells 1 and 3
+        misr._Candidate(0b1100, 1 << 2),  # P2, cells 2 and 3
+    ]
+    total, union, _ = misr._max_disjoint_collection(cands, 2)
+    assert (total, union) == _set_packing_referee(cands, 2) == (2, (0, 9))
 
 
 def test_set_packing_reads_its_deadline_at_every_frame(monkeypatch):
@@ -902,7 +998,7 @@ def test_set_packing_reads_its_deadline_at_every_frame(monkeypatch):
     its first frame."""
     reads = _counting_clock(monkeypatch)
     for n in (1, 128):
-        cands = [misr._Candidate(1 << i, (i,)) for i in range(n)]
+        cands = [misr._Candidate(1 << i, 1 << i) for i in range(n)]
         found = misr._max_disjoint_collection(cands, n)
         assert found == (n, tuple(range(n)), 2 * n + 1) and reads == []
         assert misr._max_disjoint_collection(cands, n, 1.0) == found
