@@ -323,6 +323,9 @@ def _cmd_verify(args) -> int:
         return EXIT_OK
     if sol.kind != "gknap-packing" or inst_file.kind != "gknap":
         raise _UsageError("verify packing needs a gknap pair")
+    if sol.packing.N != inst_file.instance.N:  # the board is the instance's, not the file's
+        print(f"violation: packing board side {sol.packing.N} is not the instance's {inst_file.instance.N}")
+        return EXIT_INVALID
     result = validate_packing(sol.packing, inst_file.instance.items)
     if not result.ok:
         for viol in result.violations:

@@ -67,15 +67,12 @@ class InstanceFile:
             raise FileFormatError(f"metadata must be a JSON object, got {type(meta).__name__}")
         try:
             if kind == "misr":
-                inst = MisrInstance.from_coords(payload["rects"])
+                inst = MisrInstance.from_coords([_exact(v, int, "corner") for v in r] for r in payload["rects"])
             elif kind == "gknap":
-                rotations = payload.get("rotations", True)
-                if not isinstance(rotations, bool):
-                    raise FileFormatError(f"rotations must be true or false, got {rotations!r}")
                 inst = GknapInstance(
-                    int(payload["N"]),
-                    tuple(Item(int(w), int(h)) for w, h in payload["items"]),
-                    rotations,
+                    _exact(payload["N"], int, "N"),
+                    tuple(Item(_exact(w, int, "side"), _exact(h, int, "side")) for w, h in payload["items"]),
+                    _exact(payload.get("rotations", True), bool, "rotations"),
                 )
             else:
                 raise FileFormatError(f"unknown instance type {kind!r}")
@@ -118,12 +115,13 @@ class SolutionFile:
         try:
             ih = payload["instance_hash"]
             if kind == "misr-solution":
-                return cls(kind, ih, tuple(int(i) for i in payload["selected"]), None, prov)
+                return cls(kind, ih, tuple(_exact(i, int, "index") for i in payload["selected"]), None, prov)
             if kind == "gknap-packing":
                 packing = Packing(
-                    int(payload["N"]),
+                    _exact(payload["N"], int, "N"),
                     tuple(
-                        Placement(int(i), int(x), int(y), bool(r))
+                        Placement(_exact(i, int, "item"), _exact(x, int, "x"), _exact(y, int, "y"),
+                                  _exact(r, bool, "rotated"))
                         for i, x, y, r in payload["placements"]
                     ),
                 )
@@ -131,6 +129,13 @@ class SolutionFile:
         except (KeyError, TypeError, ValueError) as exc:
             raise FileFormatError(f"malformed {kind} solution: {exc}") from exc
         raise FileFormatError(f"unknown solution type {kind!r}")
+
+
+def _exact(v: Any, kind: type, what: str):
+    """``v`` if its type is ``kind`` itself: no float, string or bool is coerced."""
+    if type(v) is not kind:
+        raise FileFormatError(f"{what} must be {'an integer' if kind is int else 'true or false'}, got {v!r}")
+    return v
 
 
 def _coord_out(v) -> int:

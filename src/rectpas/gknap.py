@@ -640,6 +640,14 @@ def theory_k_tilde(k: int, epsilon: Fraction | float) -> int:
     return max(2, k ** (ceil(8 / as_epsilon(epsilon)) + 1))
 
 
+def _prepare(k: int, epsilon: Fraction | float, k_tilde: Optional[int]) -> tuple[Fraction, int, int]:
+    """The preamble of ``pas_2dkr`` and ``kernel_2dkr``: (eps, k_tilde, ceil((1 - eps) k))."""
+    if k < 1:
+        raise ValueError(f"k must be positive, got {k}")
+    eps = as_epsilon(epsilon)
+    return eps, theory_k_tilde(k, eps) if k_tilde is None else k_tilde, ceil((1 - eps) * k)
+
+
 @dataclass(frozen=True)
 class Pas2dkrResult:
     packing: Optional[Packing]
@@ -669,11 +677,7 @@ def pas_2dkr(
     restricted knapsack, which under the theory k_tilde mapping implies the
     optimum is below k.
     """
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
-    eps = as_epsilon(epsilon)
-    kt = theory_k_tilde(k, eps) if k_tilde is None else k_tilde
-    k_prime = ceil((1 - eps) * k)
+    eps, kt, k_prime = _prepare(k, epsilon, k_tilde)
     meta: dict[str, object] = {
         "k": k,
         "epsilon": eps,
@@ -698,9 +702,5 @@ def kernel_2dkr(
     k_tilde: Optional[int] = None,
 ) -> KernelReport:
     """Approximate kernel: the group-and-prune survivors for k' and k_tilde."""
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
-    eps = as_epsilon(epsilon)
-    kt = theory_k_tilde(k, eps) if k_tilde is None else k_tilde
-    k_prime = max(1, ceil((1 - eps) * k))
-    return prune_to_kernel(instance, k_prime, kt)
+    _, kt, k_prime = _prepare(k, epsilon, k_tilde)
+    return prune_to_kernel(instance, max(1, k_prime), kt)

@@ -22,7 +22,7 @@ from math import ceil
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .geometry import MisrInstance, KernelReport, Rect, as_epsilon, conflict_masks, validate_misr_solution
-from .oracles import BudgetExceededError, OracleBudget
+from .oracles import DEFAULT_BUDGET, OracleBudget, _overrun
 from .planar import (
     Box,
     Division,
@@ -539,10 +539,6 @@ def _members(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _overrun(stage: str) -> BudgetExceededError:
-    return BudgetExceededError(f"time budget exceeded in {stage}")
-
-
 _COMPLEMENT = str.maketrans("01", "10")
 
 
@@ -781,12 +777,25 @@ class PasMisrResult:
         return self.selected is None
 
 
+def _prepare(inst: MisrInstance, k: int, epsilon: Fraction | float, c: Optional[int], budget: OracleBudget):
+    """The preamble of ``pas_misr`` and ``kernel_misr``: (eps, c, dichotomy, index, deadline)."""
+    eps = as_epsilon(epsilon)
+    cap_c = theory_cap(eps) if c is None else c
+    if cap_c < 1:
+        raise ValueError(f"c must be positive, got {cap_c}")
+    outcome = build_grid(inst, k)
+    if not outcome.is_grid:
+        return eps, cap_c, outcome, None, None
+    deadline = budget.deadline()
+    return eps, cap_c, outcome, cell_index(inst, outcome.grid), deadline
+
+
 def pas_misr(
     inst: MisrInstance,
     k: int,
     epsilon: Fraction | float,
     c: Optional[int] = None,
-    budget: Optional[OracleBudget] = None,
+    budget: OracleBudget = DEFAULT_BUDGET,
 ) -> PasMisrResult:
     """Parameterized approximation run for a target solution size k.
 
@@ -807,17 +816,12 @@ def pas_misr(
     recursion limit raises ``RecursionError`` naming set packing and the
     candidate count.
     """
-    eps = as_epsilon(epsilon)
-    cap_c = theory_cap(eps) if c is None else c
-    if cap_c < 1:
-        raise ValueError(f"c must be positive, got {cap_c}")
+    eps, cap_c, outcome, index, deadline = _prepare(inst, k, epsilon, c, budget)
     meta: dict[str, object] = {"k": k, "epsilon": eps, "c": cap_c}
-    outcome = build_grid(inst, k)
-    if not outcome.is_grid:
+    if index is None:
         meta["branch"] = "grid-witness"
         return PasMisrResult(outcome.witness, k, meta)
-    deadline = None if budget is None else budget.start_clock().deadline
-    cands = _candidate_family(cell_index(inst, outcome.grid), cap_c, deadline)
+    cands = _candidate_family(index, cap_c, deadline)
     try:  # a try block adds no frame to the set packing's recursion
         best_total, best_sol, nodes = _max_disjoint_collection(cands, k, deadline)
     except RecursionError:
@@ -838,7 +842,7 @@ def kernel_misr(
     k: int,
     epsilon: Fraction | float,
     c: Optional[int] = None,
-    budget: Optional[OracleBudget] = None,
+    budget: OracleBudget = DEFAULT_BUDGET,
 ) -> KernelReport:
     """Approximate kernel: union of capped solutions over all candidates.
 
@@ -856,18 +860,13 @@ def kernel_misr(
     and subproblems, as in ``pas_misr``; an overrun raises
     ``BudgetExceededError``.
     """
-    eps = as_epsilon(epsilon)
-    cap_c = theory_cap(eps) if c is None else c
-    if cap_c < 1:
-        raise ValueError(f"c must be positive, got {cap_c}")
-    outcome = build_grid(inst, k)
-    if not outcome.is_grid:
+    _, cap_c, outcome, index, deadline = _prepare(inst, k, epsilon, c, budget)
+    if index is None:
         return KernelReport(
             tuple(sorted(outcome.witness)),
             {"c": cap_c, "k": k, "grid_shortcut": True},
         )
-    deadline = None if budget is None else budget.start_clock().deadline
-    solved = _solved_footprints(cell_index(inst, outcome.grid), cap_c, deadline)
+    solved = _solved_footprints(index, cap_c, deadline)
     kernel = 0
     for sol in solved.values():
         kernel |= sol

@@ -39,12 +39,16 @@ class BudgetExceededError(RuntimeError):
     """Raised when a search would exceed its declared budget."""
 
 
+def _overrun(stage: str) -> BudgetExceededError:
+    return BudgetExceededError(f"time budget exceeded in {stage}")
+
+
 @dataclass(frozen=True)
 class OracleBudget:
     """Size bounds and an optional time limit in seconds for a search.
 
-    While a time limit is set, every search reads the clock at each of its
-    nodes, so an overrun ends at most one node past the deadline.
+    While a time limit is set, every search reads one deadline at each of
+    its nodes, so an overrun ends at most one node past it.
     """
 
     max_items: int = 25
@@ -57,23 +61,9 @@ class OracleBudget:
         if self.time_limit is not None and not self.time_limit > 0:  # NaN fails too
             raise ValueError("time limit must be positive")
 
-    def start_clock(self) -> "_Clock":
-        return _Clock(self.time_limit)
-
-
-class _Clock:
-    __slots__ = ("deadline", "checks")
-
-    def __init__(self, limit: Optional[float]):
-        self.deadline = None if limit is None else time.monotonic() + limit
-        self.checks = 0
-
-    def tick(self) -> None:
-        if self.deadline is None:
-            return
-        self.checks += 1
-        if time.monotonic() > self.deadline:
-            raise BudgetExceededError("oracle time budget exceeded")
+    def deadline(self) -> Optional[float]:
+        """The ``time.monotonic()`` value a run started now ends by, if limited."""
+        return None if self.time_limit is None else time.monotonic() + self.time_limit
 
 
 DEFAULT_BUDGET = OracleBudget()
@@ -119,13 +109,14 @@ def mis_rectangles_exact(
     """
     if inst.n > budget.max_items:
         raise BudgetExceededError(f"{inst.n} rectangles exceed budget {budget.max_items}")
-    clock = budget.start_clock()
+    deadline = budget.deadline()
     conflict = conflict_masks(inst)
     best: list[int] = []
     stack: list[tuple[int, tuple[int, ...]]] = [((1 << inst.n) - 1, ())]
     while stack:
         alive, chosen = stack.pop()
-        clock.tick()
+        if deadline is not None and time.monotonic() > deadline:
+            raise _overrun("exact MIS")
         if not alive:
             if len(chosen) > len(best):
                 best = sorted(chosen)
@@ -224,7 +215,7 @@ def packing_feasible_exact(
     H,
     rotations: bool = True,
     budget: OracleBudget = DEFAULT_BUDGET,
-    clock: Optional[_Clock] = None,
+    deadline: Optional[float] = None,
 ) -> Optional[tuple[Placement, ...]]:
     """Complete feasibility search for packing all given items into W x H.
 
@@ -257,7 +248,7 @@ def packing_feasible_exact(
     heights f2(h) into f2(H), and the area of that packing gives
     sum f1(w) * f2(h) <= f1(W) * f2(H). A probe that breaks the inequality
     for a member of the fixed family has no packing and gets ``None``
-    before any coordinate list is built, with one tick of the clock.
+    before any coordinate list is built, after one read of the deadline.
     :func:`first_packable_subset` never builds a probe over the area test.
     Next, the x-projection; last, the 2D search.
 
@@ -273,10 +264,10 @@ def packing_feasible_exact(
     node is a packing, whose items covering an x stack in [0, H), so its
     x-projection passes the check: only subtrees without a packing are
     cut, and the first packing found is that of the 2D search alone. The
-    checks tick the same clock as the search. The projection's own search
-    keeps the load over x as a step profile and hands each child its
-    parent's with one interval added (``_add_interval``), so a node costs
-    one pass over the steps rather than a rebuild from all placed items.
+    projection's own search keeps the load over x as a step profile and
+    hands each child its parent's with one interval added
+    (``_add_interval``), so a node costs one pass over the steps rather
+    than a rebuild from all placed items.
     It also cuts a node whose unplaced items cannot fill the room the
     profile leaves: over each step, they stack to at most the largest sum
     of their heights that fits under H, and the cut fires when those
@@ -286,23 +277,21 @@ def packing_feasible_exact(
     every placement, unchanged. On a square board the canonical y values
     are the x values.
 
-    Every check only drops probes or subtrees without a packing, so the
-    first packing found is the one the 2D search alone finds.
-
-    The clock is ``budget``'s, started here, unless a caller that runs
-    many probes under one deadline hands in its own.
+    The deadline is ``budget``'s, started here, unless a caller that runs
+    many probes under one deadline hands it in.
     """
     m = len(items)
     if m > budget.max_solution_size:
         raise BudgetExceededError(f"{m} items exceed budget {budget.max_solution_size}")
     if m == 0:
         return ()
-    if clock is None:
-        clock = budget.start_clock()
+    if deadline is None:
+        deadline = budget.deadline()
     if _dff_rejection(items, W, H, rotations) is not None:
-        clock.tick()
+        if deadline is not None and time.monotonic() > deadline:
+            raise _overrun("packing search")
         return None
-    return _packing_search(items, W, H, rotations, clock)
+    return _packing_search(items, W, H, rotations, deadline)
 
 
 # The k of the Fekete-Schepers functions u^(k) that ``_dff_rejection`` tries.
@@ -379,7 +368,7 @@ def _choice_sums(pairs: Sequence[tuple[int, int]], limit: int) -> list[int]:
     return sorted(sums)
 
 
-def _packing_search(items, W, H, rotations, clock):
+def _packing_search(items, W, H, rotations, deadline):
     m = len(items)
     # Large items first prunes earliest; determinism via the index tie-break.
     order = sorted(range(m), key=lambda i: (-items[i].w * items[i].h, i))
@@ -389,7 +378,7 @@ def _packing_search(items, W, H, rotations, clock):
     # With three items the area cut runs at position 1 alone, where the
     # table costs more than the nodes it cuts.
     stacks = _stack_table(per_item, H) if m > 3 else None
-    root = _x_projection_fits(per_item, xs_all, stacks, W, H, clock)
+    root = _x_projection_fits(per_item, xs_all, stacks, W, H, deadline)
     if root is None:
         return None
     ys_all = xs_all if H == W else [_choice_sums(pairs, H) for pairs in others]
@@ -397,7 +386,8 @@ def _packing_search(items, W, H, rotations, clock):
     checked: dict[tuple, Optional[tuple]] = {}
 
     def rec(t: int, cert) -> bool:
-        clock.tick()
+        if deadline is not None and time.monotonic() > deadline:
+            raise _overrun("packing search")
         if t == m:
             return True
         xs, ys = xs_all[t], ys_all[t]
@@ -423,7 +413,7 @@ def _packing_search(items, W, H, rotations, clock):
                 key = (*cert[:t], (x, x + w, h))
                 if key not in checked:
                     checked[key] = cert if cert[t] == key[t] else _x_projection_fits(
-                        per_item, xs_all, stacks, W, H, clock, key
+                        per_item, xs_all, stacks, W, H, deadline, key
                     )
                 sub = checked[key]
                 if sub is None:
@@ -482,7 +472,7 @@ def _stack_table(per_item, H):
     return table
 
 
-def _x_projection_fits(per_item, xs_all, stacks, W, H, clock, placed=()):
+def _x_projection_fits(per_item, xs_all, stacks, W, H, deadline, placed=()):
     """An x-projection that completes ``placed``, or ``None``.
 
     ``placed`` holds the intervals (x, x + w, h) in [0, W) of the first
@@ -524,7 +514,8 @@ def _x_projection_fits(per_item, xs_all, stacks, W, H, clock, placed=()):
         return None
 
     def rec(t: int, profile) -> bool:
-        clock.tick()
+        if deadline is not None and time.monotonic() > deadline:
+            raise _overrun("x-projection")
         if t == m:
             return True
         if stacks is not None and 0 < t < m - 1:
@@ -639,33 +630,33 @@ def first_packable_subset(
     ``_combinations_within``); the probe would answer ``None`` for each, so
     the first packable subset is the same. A size above
     ``budget.max_solution_size`` raises before the first probe. The
-    enumeration ticks one clock per prefix it visits and every probe ticks
-    the same clock, so ``budget.time_limit`` bounds the whole run.
+    enumeration reads one deadline at each prefix it visits and hands it to
+    every probe, so ``budget.time_limit`` bounds the whole run.
     Placements name the original indices.
     """
     sizes = tuple(sizes)
     largest = max(sizes, default=0)
     if largest > budget.max_solution_size:
         raise BudgetExceededError(f"{largest} items exceed budget {budget.max_solution_size}")
-    clock = budget.start_clock()
+    deadline = budget.deadline()
     areas = [items[i].w * items[i].h for i in indices]
     for size in sizes:
-        for picks in _combinations_within(areas, size, W * H, clock):
+        for picks in _combinations_within(areas, size, W * H, deadline):
             subset = tuple(indices[p] for p in picks)
-            placed = packing_feasible_exact([items[i] for i in subset], W, H, rotations, budget, clock)
+            placed = packing_feasible_exact([items[i] for i in subset], W, H, rotations, budget, deadline)
             if placed is not None:
                 return subset, tuple(Placement(subset[p.item], p.x, p.y, p.rotated) for p in placed)
     return None
 
 
-def _combinations_within(areas: Sequence[int], size: int, limit, clock: _Clock) -> Iterable[tuple[int, ...]]:
+def _combinations_within(areas: Sequence[int], size: int, limit, deadline: Optional[float]) -> Iterable[tuple[int, ...]]:
     """The ``size``-combinations of positions into ``areas`` whose areas sum
     to at most ``limit``, in the lexicographic order of ``combinations``.
 
     A prefix is dropped, with every combination that extends it, when its
     sum plus the least sum its remaining picks can add, the smallest areas
-    after its last position, exceeds ``limit``. The clock ticks once per
-    prefix visited, the combinations themselves included.
+    after its last position, exceeds ``limit``. The deadline is read once
+    per prefix visited, the combinations themselves included.
     """
     n = len(areas)
     # least[p][r]: the sum of the r smallest areas at positions p and later.
@@ -673,7 +664,8 @@ def _combinations_within(areas: Sequence[int], size: int, limit, clock: _Clock) 
     picks: list[int] = []
 
     def rec(start: int, total) -> Iterable[tuple[int, ...]]:
-        clock.tick()
+        if deadline is not None and time.monotonic() > deadline:
+            raise _overrun("subset enumeration")
         rest = size - len(picks)
         if not rest:
             yield tuple(picks)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -12,6 +13,13 @@ from rectpas.oracles import OracleBudget, knapsack_exact, mis_rectangles_exact
 
 MISR_BUDGET = OracleBudget(max_items=45, max_solution_size=12)
 GKNAP_BUDGET = OracleBudget(max_items=14, max_solution_size=7)
+
+
+def counting_clock(monkeypatch, module) -> list:
+    """Replace ``module``'s clock by one that reads 0.0 and counts its reads."""
+    reads = []
+    monkeypatch.setattr(module, "time", SimpleNamespace(monotonic=lambda: reads.append(0.0) or 0.0))
+    return reads
 
 
 def chunky_gknap(n: int, seed: int, N: int = 24) -> GknapInstance:

@@ -14,6 +14,8 @@ from rectpas.geometry import (
     GknapInstance,
     Item,
     MisrInstance,
+    Packing,
+    Placement,
     normalize_instance,
     validate_packing,
 )
@@ -60,9 +62,45 @@ def test_malformed_files_rejected(tmp_path):
         fileio.load(p)
 
 
+@pytest.mark.parametrize(
+    "payload",
+    [
+        # Read with int() these would truncate: 1.9 to 1, x = 2.5 to 2.
+        {"type": "gknap", "N": 4, "items": [[1.9, 1.9]]},
+        {"type": "gknap", "N": 4.0, "items": [[1, 1]]},
+        {"type": "gknap", "N": True, "items": [[1, 1]]},
+        {"type": "misr", "rects": [[0, 0, 1.5, 1]]},
+        {"type": "misr", "rects": [[0, 0, "1", 1]]},
+        {"type": "misr-solution", "instance_hash": "h", "selected": [0.0]},
+        {"type": "gknap-packing", "instance_hash": "h", "N": 4, "placements": [[1, 2.5, 1, False]]},
+        {"type": "gknap-packing", "instance_hash": "h", "N": 4, "placements": [[False, 0, 0, False]]},
+        # bool("false") is True.
+        {"type": "gknap-packing", "instance_hash": "h", "N": 4, "placements": [[0, 0, 0, "false"]]},
+        {"type": "gknap-packing", "instance_hash": "h", "N": 4, "placements": [[0, 0, 0, 0]]},
+    ],
+)
+def test_files_take_integers_and_flags_as_json_types(tmp_path, payload):
+    p = tmp_path / "f.json"
+    p.write_text(json.dumps(payload))
+    with pytest.raises(fileio.FileFormatError, match="must be"):
+        fileio.load(p)
+
+
+def test_cli_verify_rejects_a_fractional_placement(tmp_path, capsys):
+    # The box of item 1 at x = 2.5 leaves the 4 x 4 board; read as x = 2 it
+    # would fit. The file is malformed, not a failed verification.
+    inst = GknapInstance(4, (Item(2, 1),) * 2, rotations=False)
+    g = fileio.save(fileio.InstanceFile("gknap", inst), tmp_path / "g.json")
+    s = tmp_path / "s.json"
+    payload = {"type": "gknap-packing", "instance_hash": fileio.load_instance(g).hash, "N": 4,
+               "placements": [[0, 0, 0, False], [1, 2.5, 1, False]]}
+    s.write_text(json.dumps(payload))
+    assert cli_dispatch(["verify", "packing", str(s), "--instance", str(g)]) == 1
+    assert "x must be an integer, got 2.5" in capsys.readouterr().err
+
+
 def test_fractional_coordinates_not_serializable():
     from fractions import Fraction
-    from rectpas.geometry import Packing, Placement
 
     sol = fileio.SolutionFile(
         "gknap-packing", "sha256:x", None, Packing(4, (Placement(0, Fraction(1, 2), 0),))
@@ -186,9 +224,10 @@ def test_cli_2dkr_pas_exit_codes(tmp_path):
 def test_cli_2dkr_budget_overrun_is_an_error(tmp_path, capsys):
     # 14 distinct items, each longer than half the board on both sides: no
     # two fit together, so both solvers probe all 246 triples that fit by
-    # area. The subset enumeration and its probes tick one clock, which
-    # reads the time at every tick, so the run overruns a budget of a
-    # microsecond however early each probe is cut.
+    # area. The subset enumeration and its probes read one deadline at
+    # every prefix and node, so the run overruns a budget of a microsecond
+    # however early each probe is cut; building the enumeration's table of
+    # least sums takes longer than that, so its first prefix overruns.
     items = tuple(Item(14 + i % 5, 14 + i // 5) for i in range(14))
     g = fileio.save(fileio.InstanceFile("gknap", GknapInstance(27, items)), tmp_path / "g.json")
     for algorithm in ("2dkr-exact", "2dkr-pas"):
@@ -196,7 +235,7 @@ def test_cli_2dkr_budget_overrun_is_an_error(tmp_path, capsys):
         capsys.readouterr()
         assert cli_dispatch(argv + ["--budget", "0.000001", "--out", str(tmp_path / "s.json")]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1 and "budget" in err
+        assert err == "error: time budget exceeded in subset enumeration\n"
         assert cli_dispatch(argv + ["--out", str(tmp_path / "s.json")]) == 2
 
 
@@ -500,6 +539,18 @@ def test_cli_verify_out_of_range_packing_item(tmp_path, capsys):
     assert "references item 99" in capsys.readouterr().out
     assert cli_dispatch(["render", str(g), "--solution", str(s), "--out", str(tmp_path / "r.svg")]) == 3
     assert "references item 99" in capsys.readouterr().out
+
+
+def test_cli_verify_packing_checks_the_instance_board(tmp_path, capsys):
+    # Two 3 x 3 items do not fit a 4 x 4 board; a file that claims a
+    # 100 x 100 board for that instance fails verification.
+    g = fileio.save(fileio.InstanceFile("gknap", GknapInstance(4, (Item(3, 3),) * 2)), tmp_path / "g.json")
+    placements = (Placement(0, 0, 0), Placement(1, 50, 50))
+    sol = fileio.SolutionFile("gknap-packing", fileio.load_instance(g).hash, None, Packing(100, placements))
+    s = fileio.save(sol, tmp_path / "s.json")
+    capsys.readouterr()
+    assert cli_dispatch(["verify", "packing", str(s), "--instance", str(g)]) == 3
+    assert capsys.readouterr().out == "violation: packing board side 100 is not the instance's 4\n"
 
 
 def test_cli_eps_is_exact(tmp_path):

@@ -38,7 +38,7 @@ from rectpas.oracles import (
     mis_rectangles_exact,
 )
 from rectpas.planar import apply_separator, planarity_violations
-from tests.conftest import MISR_BUDGET
+from tests.conftest import MISR_BUDGET, counting_clock
 
 
 def _inst(*coords):
@@ -641,18 +641,11 @@ def test_capped_mis_reads_its_deadline_on_a_memo_miss():
     assert _rects(solve_cellset_subproblem(index, every, 9)) == _capped_mis_referee(spans, conflict, every, 9)
 
 
-def _counting_clock(monkeypatch):
-    """Replace misr's clock by one that reads 0.0 and counts its reads."""
-    reads = []
-    monkeypatch.setattr(misr, "time", SimpleNamespace(monotonic=lambda: reads.append(0.0) or 0.0))
-    return reads
-
-
 def test_family_growth_reads_its_deadline_at_every_frame(monkeypatch):
     """n identical rectangles at cap 1 take n growth frames, one footprint
     and no memo entry: a live deadline is read n + 1 times, and one that
     has passed stops growth at its first frame."""
-    reads = _counting_clock(monkeypatch)
+    reads = counting_clock(monkeypatch, misr)
     for n in (1, 300):
         inst = _inst(*[(0, 0, 1, 1)] * n)
         index = cell_index(inst, build_grid(inst, 2).grid)
@@ -996,7 +989,7 @@ def test_set_packing_reads_its_deadline_at_every_frame(monkeypatch):
     """n pairwise disjoint candidates take 2n + 1 frames: a live deadline
     is read at each of them, and one that has passed stops the search at
     its first frame."""
-    reads = _counting_clock(monkeypatch)
+    reads = counting_clock(monkeypatch, misr)
     for n in (1, 128):
         cands = [misr._Candidate(1 << i, 1 << i) for i in range(n)]
         found = misr._max_disjoint_collection(cands, n)

@@ -22,6 +22,7 @@ from rectpas.oracles import (
     packing_feasible_exact,
     packing_feasible_scan,
 )
+from tests.conftest import counting_clock
 
 
 def test_mis_all_disjoint():
@@ -106,7 +107,7 @@ def test_mis_exact_stops_within_its_time_limit():
     # seconds late; read at each node it is one node late.
     inst = normalize_instance(gen_misr(n=700, seed=1, span=2000).instance)
     start = time.monotonic()
-    with pytest.raises(BudgetExceededError, match="time budget"):
+    with pytest.raises(BudgetExceededError, match="time budget exceeded in exact MIS"):
         mis_rectangles_exact(inst, OracleBudget(max_items=700, time_limit=0.5))
     assert time.monotonic() - start <= 0.5 + 0.25
 
@@ -278,12 +279,12 @@ def test_dff_bound_keeps_every_placement(rotations, monkeypatch):
 
 def test_dff_bound_hand_cases(monkeypatch):
     # Two squares wider than half the board: u^(1) maps each to the board.
-    # The rejected probe still ticks the clock once.
+    # The rejected probe still reads the deadline once.
     squares = [Item(11, 11)] * 2
     assert oracles._dff_rejection(squares, 20, 20, True) == "u1"
-    clock = OracleBudget(time_limit=3600).start_clock()
-    assert packing_feasible_exact(squares, 20, 20, clock=clock) is None
-    assert clock.checks == 1
+    reads = counting_clock(monkeypatch, oracles)
+    assert packing_feasible_exact(squares, 20, 20, deadline=3600.0) is None
+    assert len(reads) == 1
     # A big square leaves a strip of width 1 beside it: u^(eps) at e = 2
     # maps the big one to the board, and the small one keeps its area.
     assert oracles._dff_rejection([Item(2, 2), Item(8, 8)], 9, 9, False) == "eps"
@@ -367,9 +368,9 @@ def test_knapsack_bounds_the_sizes_it_probes(monkeypatch):
 
 def test_probes_share_the_run_clock(monkeypatch):
     # No two of these squares fit together, so the bounds reject each
-    # probe with one tick of the clock. The run's deadline passes as the
-    # first probe starts: with one clock for the run, that probe's tick
-    # raises. A clock of its own, started then, would let it answer.
+    # probe after one read of the deadline. The run's deadline passes as
+    # the first probe starts: with one deadline for the run, that probe's
+    # read raises. A deadline of its own, set then, would let it answer.
     now = [0.0]
     monkeypatch.setattr(oracles, "time", SimpleNamespace(monotonic=lambda: now[0]))
     probes, answered = [], []
@@ -382,7 +383,7 @@ def test_probes_share_the_run_clock(monkeypatch):
         return answered[-1]
 
     monkeypatch.setattr(oracles, "packing_feasible_exact", counting)
-    with pytest.raises(BudgetExceededError, match="time budget"):
+    with pytest.raises(BudgetExceededError, match="time budget exceeded in packing search"):
         knapsack_exact([Item(11, 11)] * 14, 20, 20, 3, True, OracleBudget(time_limit=1))
     assert len(probes) == 1 and answered == []
 
@@ -490,7 +491,7 @@ def test_choice_sums_take_one_side_per_item():
 )
 def test_x_projection_cases(per_item, xs_all, W, H, fits):
     stacks = oracles._stack_table(per_item, H)
-    got = oracles._x_projection_fits(per_item, xs_all, stacks, W, H, OracleBudget().start_clock())
+    got = oracles._x_projection_fits(per_item, xs_all, stacks, W, H, None)
     assert (got is not None) is fits
     if fits:
         # The assignment gives every item an interval of one of its widths.
@@ -500,15 +501,12 @@ def test_x_projection_cases(per_item, xs_all, W, H, fits):
 
 
 def test_x_projection_ticks_the_probe_clock():
-    class Expired:
-        def tick(self):
-            raise BudgetExceededError("oracle time budget exceeded")
-
-    with pytest.raises(BudgetExceededError):
-        oracles._x_projection_fits([((1, 1, False),)], [[0]], [None], 2, 2, Expired())
+    passed = time.monotonic() - 1
+    with pytest.raises(BudgetExceededError, match="time budget exceeded in x-projection"):
+        oracles._x_projection_fits([((1, 1, False),)], [[0]], [None], 2, 2, passed)
 
 
-def _x_projection_rebuilt(per_item, xs_all, stacks, W, H, clock, placed=()):
+def _x_projection_rebuilt(per_item, xs_all, stacks, W, H, deadline, placed=()):
     """Referee for ``_x_projection_fits``: rebuilds the load steps at every node.
 
     Same nodes in the same order, but each frame cuts [0, W) at the
@@ -524,7 +522,8 @@ def _x_projection_rebuilt(per_item, xs_all, stacks, W, H, clock, placed=()):
         return [(a, b, sum(h for x1, x2, h in placed if x1 <= a < x2)) for a, b in zip(cuts, cuts[1:])]
 
     def rec(t):
-        clock.tick()
+        if deadline is not None and oracles.time.monotonic() > deadline:
+            raise BudgetExceededError("time budget exceeded in x-projection")
         if t == m:
             return True
         xs = xs_all[t]
@@ -568,11 +567,12 @@ def _relation(a, b):
     return "cross"
 
 
-def test_x_projection_matches_the_rebuilt_steps():
+def test_x_projection_matches_the_rebuilt_steps(monkeypatch):
     # The profile carried down the search gives the same answer and the
-    # same clock ticks as rebuilding the load steps at each node, whether
+    # same deadline reads as rebuilding the load steps at each node, whether
     # the check starts at the root or below placed intervals in any
     # arrangement.
+    reads = counting_clock(monkeypatch, oracles)
     rng = random.Random(53)
     seen = set()
     for trial in range(300):
@@ -597,11 +597,11 @@ def test_x_projection_matches_the_rebuilt_steps():
             if starts[-2] < starts[-1]:
                 seen.add("rightmost")
         stacks = oracles._stack_table(per_item, H)
-        budget = OracleBudget(time_limit=3600)
-        mine, ref = budget.start_clock(), budget.start_clock()
-        got = oracles._x_projection_fits(per_item, xs_all, stacks, W, H, mine, tuple(placed))
-        assert got == _x_projection_rebuilt(per_item, xs_all, stacks, W, H, ref, tuple(placed)), trial
-        assert mine.checks == ref.checks, trial
+        reads.clear()
+        got = oracles._x_projection_fits(per_item, xs_all, stacks, W, H, 3600.0, tuple(placed))
+        mine = len(reads)
+        assert got == _x_projection_rebuilt(per_item, xs_all, stacks, W, H, 3600.0, tuple(placed)), trial
+        assert mine == len(reads) - mine, trial
         seen.add(("fits" if got is not None else "none", bool(placed), type(H).__name__))
     assert {"touch", "gap", "nest", "cross", "leftmost", "rightmost"} <= seen
     assert {(v, p, h) for v in ("fits", "none") for p in (False, True) for h in ("int", "Fraction")} <= seen
@@ -643,11 +643,12 @@ def test_stack_table_is_built_for_four_or_more_items(monkeypatch):
     assert built and min(built) == 4 and 3 in {len(items) for items, *_ in GOLDEN_PACKINGS}
 
 
-def test_area_cut_keeps_the_answer_with_no_more_ticks():
+def test_area_cut_keeps_the_answer_with_no_more_ticks(monkeypatch):
     # The cut removes only nodes without a completion: on random probes of
     # the PAS's chunky shapes and placed prefixes it returns what the search
     # without it returns (a table whose areas are all 0 never cuts), and it
-    # never ticks more.
+    # never reads the deadline more often.
+    reads = counting_clock(monkeypatch, oracles)
     rng = random.Random(61)
     fewer = 0
     seen = set()
@@ -664,14 +665,15 @@ def test_area_cut_keeps_the_answer_with_no_more_ticks():
             w, h, _ = rng.choice(per_item[t])
             x = rng.choice(xs_all[t][: bisect_right(xs_all[t], W - w)])
             placed.append((x, x + w, h))
-        budget = OracleBudget(time_limit=3600)
-        cut, plain = budget.start_clock(), budget.start_clock()
         stacks = oracles._stack_table(per_item, H)
-        got = oracles._x_projection_fits(per_item, xs_all, stacks, W, H, cut, tuple(placed))
+        reads.clear()
+        got = oracles._x_projection_fits(per_item, xs_all, stacks, W, H, 3600.0, tuple(placed))
+        cut = len(reads)
         no_cut = [(0, [0])] * len(items)
-        assert got == oracles._x_projection_fits(per_item, xs_all, no_cut, W, H, plain, tuple(placed)), trial
-        assert cut.checks <= plain.checks, trial
-        fewer += cut.checks < plain.checks
+        assert got == oracles._x_projection_fits(per_item, xs_all, no_cut, W, H, 3600.0, tuple(placed)), trial
+        plain = len(reads) - cut
+        assert cut <= plain, trial
+        fewer += cut < plain
         seen.add((got is not None, bool(placed)))
     assert fewer > 40 and seen == {(v, p) for v in (False, True) for p in (False, True)}
 
@@ -682,9 +684,8 @@ def test_x_projection_of_an_overloaded_prefix_is_none():
     per_item = [((3, 3, False),), ((3, 3, False),), ((1, 1, False),)]
     xs_all = [[0, 1, 3, 4]] * 3
     stacks = oracles._stack_table(per_item, 5)
-    clock = OracleBudget().start_clock()
-    assert oracles._x_projection_fits(per_item, xs_all, stacks, 6, 5, clock, ((0, 3, 3),)) is not None
-    assert oracles._x_projection_fits(per_item, xs_all, stacks, 6, 5, clock, ((0, 3, 3), (1, 4, 3))) is None
+    assert oracles._x_projection_fits(per_item, xs_all, stacks, 6, 5, None, ((0, 3, 3),)) is not None
+    assert oracles._x_projection_fits(per_item, xs_all, stacks, 6, 5, None, ((0, 3, 3), (1, 4, 3))) is None
 
 
 def test_add_interval_splits_and_adds():
@@ -736,8 +737,8 @@ def test_x_projection_never_rejects_a_packable_probe(rotations, monkeypatch):
     verdicts = []
     check = oracles._x_projection_fits
 
-    def recording(per_item, xs_all, stacks, W, H, clock, placed=()):
-        got = check(per_item, xs_all, stacks, W, H, clock, placed)
+    def recording(per_item, xs_all, stacks, W, H, deadline, placed=()):
+        got = check(per_item, xs_all, stacks, W, H, deadline, placed)
         if not placed:
             verdicts.append(got is not None)
         return got
@@ -764,9 +765,9 @@ def test_node_projection_keeps_the_first_packing(rotations, monkeypatch):
     node_cuts = 0
     check = oracles._x_projection_fits
 
-    def counting(per_item, xs_all, stacks, W, H, clock, placed=()):
+    def counting(per_item, xs_all, stacks, W, H, deadline, placed=()):
         nonlocal node_cuts
-        got = check(per_item, xs_all, stacks, W, H, clock, placed)
+        got = check(per_item, xs_all, stacks, W, H, deadline, placed)
         node_cuts += bool(placed) and got is None
         return got
 
@@ -779,26 +780,26 @@ def test_node_projection_keeps_the_first_packing(rotations, monkeypatch):
 
 def test_heavy_probe_is_cut_at_the_nodes(monkeypatch):
     # A 6-item probe the PAS meets on the gknap_n24 bench: the 2D search
-    # alone ticks 7602 times; the node checks leave a few hundred ticks
-    # and the same packing. Nodes that differ only in y share their
+    # alone reads the deadline 7602 times; the node checks leave a few
+    # hundred reads and the same packing. Nodes that differ only in y share their
     # x-projection, and no x-projection is checked twice.
     items = [Item(12, 9), Item(10, 10), Item(10, 7), Item(9, 8), Item(9, 7), Item(11, 7)]
     checked = []
     check = oracles._x_projection_fits
 
-    def recording(per_item, xs_all, stacks, W, H, clock, placed=()):
+    def recording(per_item, xs_all, stacks, W, H, deadline, placed=()):
         checked.append(tuple(placed))
-        return check(per_item, xs_all, stacks, W, H, clock, placed)
+        return check(per_item, xs_all, stacks, W, H, deadline, placed)
 
     monkeypatch.setattr(oracles, "_x_projection_fits", recording)
-    clock = OracleBudget(time_limit=3600).start_clock()
-    got = oracles._packing_search(items, 24, 24, True, clock)
+    reads = counting_clock(monkeypatch, oracles)
+    got = oracles._packing_search(items, 24, 24, True, 3600.0)
     assert got == tuple(
         Placement(*p)
         for p in [(0, 0, 0, False), (1, 9, 14, False), (2, 12, 7, False),
                   (3, 0, 9, False), (4, 0, 17, False), (5, 12, 0, False)]
     )
-    assert clock.checks <= 1000
+    assert len(reads) <= 1000
     assert len(set(checked)) == len(checked) > 1
 
 
