@@ -326,10 +326,15 @@ def _cmd_verify(args) -> int:
     if sol.packing.N != inst_file.instance.N:  # the board is the instance's, not the file's
         print(f"violation: packing board side {sol.packing.N} is not the instance's {inst_file.instance.N}")
         return EXIT_INVALID
-    result = validate_packing(sol.packing, inst_file.instance.items)
-    if not result.ok:
-        for viol in result.violations:
-            print(f"violation: {viol.message}")
+    messages = [
+        f"placement {i} is rotated but the instance forbids rotations"
+        for i, pl in enumerate(sol.packing.placements)
+        if pl.rotated and not inst_file.instance.rotations
+    ]
+    messages += [viol.message for viol in validate_packing(sol.packing, inst_file.instance.items).violations]
+    if messages:
+        for message in messages:
+            print(f"violation: {message}")
         return EXIT_INVALID
     print(f"packing of {sol.packing.size} items verified")
     return EXIT_OK

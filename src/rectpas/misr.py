@@ -366,8 +366,9 @@ def cell_index(
     empty dict: the capped-MIS memo of ``solve_cellset_subproblem``, whose
     entries depend on the conflict masks only, so they hold for every cell
     set and cap that is asked of this index. The fifth is the ``_or_tables``
-    of the span masks transposed by one ``_bit_columns`` call (per cell up
-    to the widest span, the mask of the rectangles covering it), so that
+    of the span masks transposed by one ``_bit_columns`` call, strided
+    slices of the masks' bytes (per cell up to the widest span, the mask of
+    the rectangles covering it), so that
     ``_table_or`` gives the rectangles meeting any cell set in one lookup
     per 8 cells. A rectangle's ``shares`` is that OR over its span, less its
     own bit. ``pas_misr`` and ``kernel_misr`` build one per run and drop it
@@ -420,7 +421,11 @@ def solve_cellset_subproblem(
     A memo miss under r >= 2 is answered per conflict component of the
     inside set (a bit BFS over the conflict masks): component C takes the
     answer for C under cap min(|C|, r), read from or stored in the same
-    memo, so no search runs deeper or wider than under cap r. A single
+    memo, so no search runs deeper or wider than under cap r. A rectangle
+    that overlaps no other inside one is isolated, its own component and
+    its own answer: the BFS starts from the lowest rectangle's conflict
+    mask within the rest, plus its own bit, and stops there when that adds
+    nothing, with no search and no memo entry. A single
     component is the call itself. With two or more, a capped component
     answer has r members and the others add at least one, so if the answer
     sizes sum to at most r, none was capped: each is its component's
@@ -448,23 +453,25 @@ def solve_cellset_subproblem(
     found = total = 0
     rest = inside
     while rest:
-        comp = frontier = rest & -rest
-        while frontier:
-            low = frontier & -frontier
-            frontier ^= low
-            new = conflict[low.bit_length() - 1] & rest & ~comp
-            comp |= new
-            frontier |= new
-        rest ^= comp
-        size = comp.bit_count()
-        if size < 2:
-            got = comp
+        low = rest & -rest
+        comp = conflict[low.bit_length() - 1] & rest | low
+        if comp == low:  # isolated: its own answer
+            got = low
         else:
+            frontier = comp ^ low
+            while frontier:
+                bit = frontier & -frontier
+                frontier ^= bit
+                new = conflict[bit.bit_length() - 1] & rest & ~comp
+                comp |= new
+                frontier |= new
+            size = comp.bit_count()
             comp_r = size if size < r else r
             comp_key = comp_r << shift | comp
             got = memo.get(comp_key)
             if got is None:
                 got = _capped_best(comp, comp_r, comp_key, conflict, memo, shift, deadline)
+        rest ^= comp
         total += got.bit_count()
         if total > r:
             return _capped_best(inside, r, key, conflict, memo, shift, deadline)
@@ -556,18 +563,25 @@ def _cell_order_key(mask: int) -> str:
     return bin(mask)[:1:-1].translate(_COMPLEMENT)
 
 
+# entry j maps a byte to the ASCII digit of its bit j, for bytes.translate
+_BIT_DIGITS = tuple(bytes(48 + (b >> j & 1) for b in range(256)) for j in range(8))
+
+
 def _bit_columns(rows: Sequence[int], width: int) -> list[int]:
     """Transpose a bit matrix: bit p of entry j is bit j of ``rows[p]``.
 
-    ``width`` must cover every row's bit length. Each row is written as
-    ``width`` binary digits, and each column of those strings, read from
-    the last row to the first, is one int: one Python step per column, not
-    per bit.
+    ``width`` must cover every row's bit length. The rows are written as
+    little-endian bytes, last row first, into one buffer, so the bytes
+    holding column j are one strided slice of it, from the last row to the
+    first. ``bytes.translate`` turns each into the digit of its bit j, and
+    ``int(..., 2)`` reads the digits as the column: a few C calls per
+    column, none per row or bit.
     """
     if not rows:
         return [0] * width
-    digits = [format(row, f"0{width}b") for row in reversed(rows)]
-    return [int("".join(col), 2) for col in zip(*digits)][::-1]
+    nb = (width + 7) // 8
+    buf = b"".join([row.to_bytes(nb, "little") for row in reversed(rows)])
+    return [int(buf[j >> 3 :: nb].translate(_BIT_DIGITS[j & 7]), 2) for j in range(width)]
 
 
 def _or_tables(columns: Sequence[int]) -> list[list[int]]:
@@ -610,8 +624,14 @@ def _solved_footprints(
     optimum over this family equals the optimum over the full block-union
     enumeration while staying desk sized. Subsets of up to c >= 1
     rectangles are grown through the shares-a-cell relation of ``index``,
-    a ``cell_index``; the footprint, frontier, banned and blocked sets are
-    masks. Disconnected unions split into equivalent separate candidates.
+    a ``cell_index``; the footprint and frontier are masks, and one more
+    mask, ``shut``, holds the rectangles a subset may not take next: those
+    at or below its root, the chosen ones and those overlapping them, and
+    the siblings tried before it. A root's subsets start from its own bit
+    and below and its conflict mask; a child adds the conflict mask of the
+    rectangle it takes, and each child taken shuts its rectangle for the
+    siblings after it, so each subset is grown once. Disconnected unions
+    split into equivalent separate candidates.
     Each distinct footprint, in order of discovery, is solved once through
     ``solve_cellset_subproblem`` on the same index, so the footprints share
     its memo. Returns footprint -> solution mask, in discovery order, for
@@ -627,23 +647,22 @@ def _solved_footprints(
     limit = min(c, n)
     footprints: dict[int, None] = {}
 
-    def grow(above: int, size: int, cells: int, frontier: int, banned: int, blocked: int) -> None:
+    def grow(size: int, cells: int, frontier: int, shut: int) -> None:
         if deadline is not None and time.monotonic() > deadline:
             raise _overrun("family growth")
-        footprints.setdefault(cells)
+        footprints[cells] = None
         if size >= limit:
             return
-        ext = frontier & above & ~banned & ~blocked  # blocked holds the chosen ones too
-        dead = 0
+        ext = frontier & ~shut
         while ext:
             low = ext & -ext
             ext ^= low
             v = low.bit_length() - 1
-            grow(above, size + 1, cells | spans[v], frontier | shares[v], banned | dead, blocked | conflict[v])
-            dead |= low
+            grow(size + 1, cells | spans[v], frontier | shares[v], shut | conflict[v])
+            shut |= low
 
     for root in range(n):
-        grow(-2 << root, 1, spans[root], shares[root], 0, conflict[root])
+        grow(1, spans[root], shares[root], (2 << root) - 1 | conflict[root])
 
     solved = {}
     for cells in footprints:
@@ -688,7 +707,8 @@ def _max_disjoint_collection(
     are one int over positions (bit p for candidate p), and the search
     visits only its lowest bit. An include clears the positions whose cells
     meet the candidate's: the OR of per-cell masks over positions (one
-    ``_bit_columns`` transpose of the cell masks, made into ``_or_tables``),
+    ``_bit_columns`` transpose of the cell masks, a strided byte slice per
+    cell, made into ``_or_tables``),
     built on the position's first include by a loop of one table lookup per
     byte of its cell mask, written out in ``rec`` so that it adds no Python
     frame to the recursion. A skip clears the position itself. The

@@ -553,6 +553,23 @@ def test_cli_verify_packing_checks_the_instance_board(tmp_path, capsys):
     assert capsys.readouterr().out == "violation: packing board side 100 is not the instance's 4\n"
 
 
+def test_cli_verify_packing_checks_rotations(tmp_path, capsys):
+    # Two 2 x 1 items on a 4 x 4 board: the second, turned to 1 x 2 at
+    # (0, 1), fits beside the first, but the instance forbids rotations.
+    items = (Item(2, 1),) * 2
+    placements = (Placement(0, 0, 0), Placement(1, 0, 1, True))
+    for rotations, code, out in (
+        (False, 3, "violation: placement 1 is rotated but the instance forbids rotations\n"),
+        (True, 0, "packing of 2 items verified\n"),
+    ):
+        g = fileio.save(fileio.InstanceFile("gknap", GknapInstance(4, items, rotations)), tmp_path / "g.json")
+        sol = fileio.SolutionFile("gknap-packing", fileio.load_instance(g).hash, None, Packing(4, placements))
+        s = fileio.save(sol, tmp_path / "s.json")
+        capsys.readouterr()
+        assert cli_dispatch(["verify", "packing", str(s), "--instance", str(g)]) == code
+        assert capsys.readouterr().out == out
+
+
 def test_cli_eps_is_exact(tmp_path):
     g = tmp_path / "g.json"
     s = tmp_path / "s.json"

@@ -577,6 +577,56 @@ def test_capped_mis_per_component_matches_include_first_search(monkeypatch):
     assert min(paths.values()) > 100, paths
 
 
+def test_capped_mis_isolated_rectangles_match_include_first_search(monkeypatch):
+    """An inside set of isolated rectangles only (each one its own
+    component, answered without a search or a component memo entry), then
+    seeded sets that mix isolated rectangles with overlapping clusters in
+    shuffled index order, at every cap from 0 to two above the optimum, so
+    most answers are capped below it: each is the referee's."""
+    avails = []
+    real = misr._capped_best
+    monkeypatch.setattr(misr, "_capped_best", lambda avail, *rest: avails.append(avail) or real(avail, *rest))
+    apart = _inst(*[(3 * i, i % 2, 3 * i + 2, i % 2 + 2) for i in range(6)])
+    grid = build_grid(apart, apart.n + 1).grid
+    spans, _, conflict = _referee_index(apart, grid)
+    every = (1 << grid.n_cols * grid.n_rows) - 1
+    for cap in range(9):
+        index = cell_index(apart, grid)
+        avails.clear()
+        got = _rects(solve_cellset_subproblem(index, every, cap))
+        assert got == _capped_mis_referee(spans, conflict, every, cap) == tuple(range(min(cap, 6))), cap
+        if cap >= 6:  # the isolated answers are united: no search, one memo entry
+            assert (avails, len(index[3])) == ([], 1), cap
+        elif cap >= 2:  # they sum past the cap: one search over all six
+            assert avails[0] == (1 << 6) - 1, cap
+        else:
+            assert (avails, index[3]) == ([], {}), cap
+    rng = random.Random(28)
+    isolated = 0
+    for _ in range(80):
+        coords = []
+        for j in range(rng.randrange(3, 7)):
+            if rng.random() < 0.5:
+                coords.append((8 * j, 0, 8 * j + 3, 2))
+            else:
+                part = gen_misr(n=rng.randrange(2, 6), seed=rng.randrange(10**6), span=6, max_side=4).instance
+                coords += [(r.x1 + 8 * j, r.y1, r.x2 + 8 * j, r.y2) for r in part.rects]
+        rng.shuffle(coords)
+        inst = _inst(*coords)
+        grid = build_grid(inst, inst.n + 1).grid
+        spans, _, conflict = _referee_index(inst, grid)
+        n_cells = grid.n_cols * grid.n_rows
+        for cells in ((1 << n_cells) - 1, rng.getrandbits(n_cells) | rng.getrandbits(n_cells)):
+            inside = sum(1 << i for i, span in enumerate(spans) if not span & ~cells)
+            isolated += sum(1 for i in range(inst.n) if inside >> i & 1 and conflict[i] & inside == 1 << i)
+            alpha = len(_capped_mis_referee(spans, conflict, cells, inst.n))
+            index = cell_index(inst, grid)
+            for cap in range(alpha + 3):
+                got = _rects(solve_cellset_subproblem(index, cells, cap))
+                assert got == _capped_mis_referee(spans, conflict, cells, cap), (inst, cells, cap)
+    assert isolated > 200, isolated
+
+
 def test_capped_mis_component_calls_keep_their_cap():
     """A chain of 40 overlapping rectangles and one apart from it, at caps
     2 and 3, with room for cap + 10 frames above the caller: the chain's
@@ -625,6 +675,26 @@ def test_candidate_family_matches_referee_family(monkeypatch):
         bits = grid.n_cols * grid.n_rows
         cells = {cd.cells: [i for i in range(bits) if cd.cells >> i & 1] for cd in family}
         assert family == sorted(family, key=lambda cd: (-cd.value, cells[cd.cells], _rects(cd.solution)))
+
+
+# sha256 of repr of the 14 lists of _solved_footprints items, in
+# test_solved_footprints_pinned_on_bench_corpus.
+FOOTPRINTS_DIGEST = "2bb5458f19e888aee55f4ff37318a4e864e39a950b9b4b15c550d4895050f0d4"
+
+
+def test_solved_footprints_pinned_on_bench_corpus():
+    """The footprint -> solution items of the 14 bench-shaped families at
+    k = OPT and the realized cap, in discovery order: a change in growth's
+    traversal order shows here even when the family's content does not."""
+    rows = []
+    for seed in range(14):
+        inst = normalize_instance(gen_misr(n=22, seed=seed, span=16, max_side=9).instance)
+        opt = mis_rectangles_exact(inst, MISR_BUDGET)
+        grid = build_grid(inst, len(opt)).grid
+        cap = max(structured_solution(opt, grid, inst, Fraction(1, 2)).max_group, 1)
+        rows.append(list(misr._solved_footprints(cell_index(inst, grid), cap).items()))
+    assert sum(map(len, rows)) == 10273
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == FOOTPRINTS_DIGEST
 
 
 def test_capped_mis_reads_its_deadline_on_a_memo_miss():
@@ -696,6 +766,12 @@ def test_bit_columns_match_bit_loop():
         assert misr._bit_columns([0] * 5, width) == [0] * width
         assert misr._bit_columns([], width) == [0] * width
     assert misr._bit_columns([], 0) == []
+    # set-packing size: one row per candidate, widths around a byte
+    for width in (1, 7, 8, 9, 64, 65):
+        rows = [rng.getrandbits(width) for _ in range(1400)]
+        rows[-1] |= 1 << width - 1
+        expect = [sum(1 << p for p, row in enumerate(rows) if row >> j & 1) for j in range(width)]
+        assert misr._bit_columns(rows, width) == expect, width
 
 
 def _tables_referee(columns):
