@@ -386,22 +386,28 @@ def cell_index(
 
 
 def solve_cellset_subproblem(
-    index: tuple, cells: int, cap: int, deadline: Optional[float] = None
+    index: tuple, cells: int, cap: int, deadline: Optional[float] = None, masks: Optional[int] = None
 ) -> int:
     """Best feasible subset of size <= cap among rectangles inside the cells,
     as a rectangle mask (bit i set for rectangle i).
 
     ``index`` is the ``cell_index`` of the instance and grid, and ``cells``
     a cell mask as built by ``cell_mask``. A rectangle lies inside iff its
-    span mask has no bit outside the cells, so the inside mask is every
-    rectangle less the rectangles meeting a cell not in ``cells``: the
-    ``_table_or`` of the index's tables over ``~cells``, which reads only
-    the cells up to the widest span (no rectangle covers a cell above it),
-    one lookup per 8 cells. The answer
-    is the lexicographically smallest independent subset of the inside
-    rectangles of size min(alpha, cap), alpha being their independence
-    number: the set an include-first search in index order finds first
-    when it keeps a best only on a strict gain.
+    span mask has no bit outside the cells. The answer is the
+    lexicographically smallest independent subset of the inside rectangles
+    of size min(alpha, cap), alpha being their independence number: the set
+    an include-first search in index order finds first when it keeps a best
+    only on a strict gain.
+
+    ``masks`` is ``inside | clustered << n`` for the n rectangles of the
+    index: the inside rectangles, and those of them that overlap another
+    inside one. ``_solved_footprints`` hands in the ones ``_footprint_masks``
+    builds for the whole family. A lone call leaves it ``None`` and the two
+    masks come from the index: inside is every rectangle less the
+    rectangles meeting a cell not in ``cells``, the ``_table_or`` of the
+    index's tables over ``~cells`` (it reads only the cells up to the widest
+    span, one lookup per 8 cells), and a member is clustered when its
+    conflict mask meets another inside rectangle.
 
     ``_capped_best(avail, r, key, conflict, memo, shift, deadline)``
     returns that subset of the rectangle mask ``avail`` under cap r >= 2,
@@ -418,21 +424,19 @@ def solve_cellset_subproblem(
     serves every call on the same index; r is clamped to the popcount of
     avail, which changes no answer.
 
-    A memo miss under r >= 2 is answered per conflict component of the
-    inside set (a bit BFS over the conflict masks): component C takes the
-    answer for C under cap min(|C|, r), read from or stored in the same
-    memo, so no search runs deeper or wider than under cap r. A rectangle
-    that overlaps no other inside one is isolated, its own component and
-    its own answer: the BFS starts from the lowest rectangle's conflict
-    mask within the rest, plus its own bit, and stops there when that adds
-    nothing, with no search and no memo entry. A single
-    component is the call itself. With two or more, a capped component
-    answer has r members and the others add at least one, so if the answer
-    sizes sum to at most r, none was capped: each is its component's
-    lexicographically smallest maximum set. The independence number adds
-    up over components, and two sets of equal size first differ inside one
-    component, so their union is the answer. Once the sum passes r the
-    call falls back to ``_capped_best`` on the whole inside set.
+    Under r >= 2 the answer is read from the memo under
+    ``r << n | inside`` when it is there. On a miss, the isolated
+    rectangles, ``inside ^ clustered``, overlap no other inside one: each
+    is its own conflict component and its own answer. The clustered part
+    is answered under cap min(r, |clustered|), read from the memo under
+    that key or, on a miss, computed by ``_component_best``. If the
+    isolated rectangles and that answer number at most r, their union is
+    the answer, stored under the call's key: the clustered answer then has
+    fewer than r members, or the isolated set is empty, so it was not
+    capped and is the clustered part's lexicographically smallest maximum
+    set; the independence number adds up over components, and two sets of
+    equal size first differ inside one component. Otherwise the call falls
+    back to ``_capped_best`` on the whole inside set.
 
     ``deadline``, a ``time.monotonic()`` value, is read on each
     ``_capped_best`` call; past it the call raises ``BudgetExceededError``,
@@ -442,7 +446,14 @@ def solve_cellset_subproblem(
         raise ValueError("cap must be non-negative")
     spans, _, conflict, memo, tables = index
     shift = len(spans)
-    inside = ((1 << shift) - 1) & ~_table_or(tables, ~cells)
+    if masks is None:
+        inside = ((1 << shift) - 1) & ~_table_or(tables, ~cells)
+        clustered = 0
+        for v in _members(inside):
+            if conflict[v] & inside & ~(1 << v):
+                clustered |= 1 << v
+    else:
+        inside, clustered = masks & ((1 << shift) - 1), masks >> shift
     r = min(cap, inside.bit_count())
     if r < 2:
         return inside & -inside if r else 0
@@ -450,31 +461,62 @@ def solve_cellset_subproblem(
     found = memo.get(key)
     if found is not None:
         return found
+    got = 0
+    if clustered:
+        size = clustered.bit_count()
+        cl_r = size if size < r else r
+        cl_key = cl_r << shift | clustered
+        got = memo.get(cl_key)
+        if got is None:
+            got = _component_best(clustered, cl_r, cl_key, conflict, memo, shift, deadline)
+    isolated = inside ^ clustered
+    if isolated.bit_count() + got.bit_count() <= r:
+        memo[key] = found = isolated | got
+        return found
+    return _capped_best(inside, r, key, conflict, memo, shift, deadline)
+
+
+def _component_best(
+    avail: int,
+    r: int,
+    key: int,
+    conflict: Sequence[int],
+    memo: dict[int, int],
+    shift: int,
+    deadline: Optional[float],
+) -> int:
+    """The capped-MIS answer for ``avail`` under cap r >= 2, per conflict
+    component, stored in ``memo`` under ``key`` as ``_capped_best`` does.
+
+    The components come from a bit BFS over the conflict masks. Component
+    C takes the answer for C under cap min(|C|, r), read from or stored in
+    the same memo, so no search runs deeper or wider than under cap r. A
+    single component is the call itself. With two or more, a capped
+    component answer has r members and the others add at least one, so if
+    the answer sizes sum to at most r, none was capped, and their union is
+    the answer (see ``solve_cellset_subproblem``). Once the sum passes r the
+    call falls back to ``_capped_best`` on the whole of ``avail``.
+    """
     found = total = 0
-    rest = inside
+    rest = avail
     while rest:
-        low = rest & -rest
-        comp = conflict[low.bit_length() - 1] & rest | low
-        if comp == low:  # isolated: its own answer
-            got = low
-        else:
-            frontier = comp ^ low
-            while frontier:
-                bit = frontier & -frontier
-                frontier ^= bit
-                new = conflict[bit.bit_length() - 1] & rest & ~comp
-                comp |= new
-                frontier |= new
-            size = comp.bit_count()
-            comp_r = size if size < r else r
-            comp_key = comp_r << shift | comp
-            got = memo.get(comp_key)
-            if got is None:
-                got = _capped_best(comp, comp_r, comp_key, conflict, memo, shift, deadline)
+        comp = frontier = rest & -rest
+        while frontier:
+            bit = frontier & -frontier
+            frontier ^= bit
+            new = conflict[bit.bit_length() - 1] & rest & ~comp
+            comp |= new
+            frontier |= new
+        size = comp.bit_count()
+        comp_r = size if size < r else r
+        comp_key = comp_r << shift | comp
+        got = memo.get(comp_key)
+        if got is None:
+            got = _capped_best(comp, comp_r, comp_key, conflict, memo, shift, deadline)
         rest ^= comp
         total += got.bit_count()
         if total > r:
-            return _capped_best(inside, r, key, conflict, memo, shift, deadline)
+            return _capped_best(avail, r, key, conflict, memo, shift, deadline)
         found |= got
     memo[key] = found
     return found
@@ -614,6 +656,42 @@ def _table_or(tables: Sequence[Sequence[int]], mask: int) -> int:
     return acc
 
 
+def _footprint_masks(index: tuple, footprints: Sequence[int]) -> list[int]:
+    """Per footprint, ``inside | clustered << n`` for the n rectangles of
+    ``index``, a ``cell_index``: the rectangles whose span lies in the
+    footprint's cells, and those of them that overlap another such
+    rectangle, as ``solve_cellset_subproblem`` takes them.
+
+    One ``_bit_columns`` transpose of the footprints gives, per cell, the
+    positions (bit p for ``footprints[p]``) of the footprints holding it,
+    up to the widest footprint or span; a cell beyond every footprint holds
+    none. The AND of those over a rectangle's span cells is ``inpos[j]``,
+    the positions where rectangle j is inside. Rectangle j is clustered
+    where it is inside and so is a rectangle overlapping it: ``inpos[j]``
+    AND the OR of the ``inpos`` of the others in ``conflict[j]``. A second
+    transpose, of the 2n rows ``inpos + clpos``, reads those bits back per
+    position. Big-int work of O(P * n) for P footprints, and no Python step
+    per footprint and rectangle pair.
+    """
+    spans, _, conflict, _, _ = index
+    width = max(max(footprints, default=0), max(spans, default=0)).bit_length()
+    holders = _bit_columns(footprints, width)
+    everywhere = (1 << len(footprints)) - 1
+    inpos = []
+    for span in spans:
+        pos = everywhere
+        for cell in _members(span):
+            pos &= holders[cell]
+        inpos.append(pos)
+    clpos = []
+    for j, pos in enumerate(inpos):
+        near = 0
+        for i in _members(conflict[j] & ~(1 << j)):
+            near |= inpos[i]
+        clpos.append(pos & near)
+    return _bit_columns(inpos + clpos, len(footprints))
+
+
 def _solved_footprints(
     index: tuple, c: int, deadline: Optional[float] = None
 ) -> dict[int, int]:
@@ -634,13 +712,16 @@ def _solved_footprints(
     split into equivalent separate candidates.
     Each distinct footprint, in order of discovery, is solved once through
     ``solve_cellset_subproblem`` on the same index, so the footprints share
-    its memo. Returns footprint -> solution mask, in discovery order, for
-    the footprints whose solution is not empty; their order does not matter
-    to ``kernel_misr``, which takes the union of the solutions.
+    its memo, with the inside and clustered rectangles that
+    ``_footprint_masks`` gives for all of them at once. Returns footprint ->
+    solution mask, in discovery order, for the footprints whose solution is
+    not empty; their order does not matter to ``kernel_misr``, which takes
+    the union of the solutions.
 
     ``deadline``, if given, bounds the whole family; an overrun raises
     ``BudgetExceededError`` naming the stage, "family growth" or "capped
-    MIS".
+    MIS". Growth reads it at every frame and the solving loop before every
+    footprint, the first time right after ``_footprint_masks``.
     """
     spans, shares, conflict, _, _ = index
     n = len(spans)
@@ -664,11 +745,12 @@ def _solved_footprints(
     for root in range(n):
         grow(1, spans[root], shares[root], (2 << root) - 1 | conflict[root])
 
+    order = list(footprints)
     solved = {}
-    for cells in footprints:
+    for cells, masks in zip(order, _footprint_masks(index, order)):
         if deadline is not None and time.monotonic() > deadline:
             raise _overrun("capped MIS")
-        sol = solve_cellset_subproblem(index, cells, c, deadline)
+        sol = solve_cellset_subproblem(index, cells, c, deadline, masks)
         if sol:
             solved[cells] = sol
     return solved

@@ -512,6 +512,70 @@ def test_inside_mask_matches_span_scan(monkeypatch):
         assert _rects(real(index, cells, 3)) == ()
 
 
+def _masks_referee(spans, conflict, cells):
+    """``inside | clustered << n`` by scans: a rectangle is inside when its
+    span has no cell outside ``cells``, and clustered when it is inside
+    and overlaps another inside rectangle."""
+    inside = [i for i, span in enumerate(spans) if not span & ~cells]
+    clustered = [i for i in inside if any(j != i and conflict[i] >> j & 1 for j in inside)]
+    return sum(1 << i for i in inside) | sum(1 << len(spans) + i for i in clustered)
+
+
+def test_footprint_masks_match_span_and_conflict_scans(monkeypatch):
+    """The masks ``_footprint_masks`` builds for a whole family, as each
+    footprint's solve receives them, are the span and conflict scans' on
+    every footprint of the 14 bench-shaped families at their realized caps;
+    so are they on seeded random families, some with cell bits above the
+    widest span and some where the widest span reaches past every
+    footprint, and on the empty family and the empty instance."""
+    seen = []
+    monkeypatch.setattr(
+        misr, "solve_cellset_subproblem", lambda _, cells, cap, deadline, masks: seen.append((cells, masks)) or 0
+    )
+    checked = 0
+    for seed in range(14):
+        inst = normalize_instance(gen_misr(n=22, seed=seed, span=16, max_side=9).instance)
+        opt = mis_rectangles_exact(inst, MISR_BUDGET)
+        grid = build_grid(inst, len(opt)).grid
+        cap = max(structured_solution(opt, grid, inst, Fraction(1, 2)).max_group, 1)
+        spans, _, conflict = _referee_index(inst, grid)
+        seen.clear()
+        misr._solved_footprints(cell_index(inst, grid), cap)
+        for cells, masks in seen:
+            assert masks == _masks_referee(spans, conflict, cells), (seed, cells)
+        checked += len(seen)
+    assert checked == 10273  # the footprints of the 14 families
+    rng = random.Random(29)
+    beyond = 0
+    for seed in range(60):
+        n = 2 + seed % 20
+        inst = normalize_instance(
+            gen_misr(n=n, seed=seed, span=rng.randrange(4, 17), max_side=rng.randrange(2, 9)).instance
+        )
+        grid = build_grid(inst, n + 1).grid
+        spans, _, conflict = _referee_index(inst, grid)
+        index = cell_index(inst, grid)
+        width = max(spans).bit_length()
+        below = (1 << width - 1) - 1  # no footprint holds the widest span's top cell
+        families = [
+            [rng.getrandbits(width) | rng.getrandbits(width) for _ in range(rng.randrange(1, 30))],
+            [rng.getrandbits(width + 9) | 1 << width + rng.randrange(9) for _ in range(rng.randrange(1, 30))],
+            [(rng.getrandbits(width) | rng.getrandbits(width)) & below for _ in range(rng.randrange(1, 30))],
+        ]
+        for family in families:
+            want = [_masks_referee(spans, conflict, cells) for cells in family]
+            assert misr._footprint_masks(index, family) == want, (seed, family)
+        # in the last family the widest span is inside no footprint, others are
+        top = max(range(n), key=lambda i: spans[i])
+        beyond += not any(masks >> top & 1 for masks in want) and any(want)
+        assert misr._footprint_masks(index, []) == []
+    assert beyond > 40, beyond
+    empty = MisrInstance(())
+    index = cell_index(empty, build_grid(empty, 1).grid)
+    assert misr._footprint_masks(index, []) == []
+    assert misr._footprint_masks(index, [0, 1, 0b1011]) == [0, 0, 0]
+
+
 def test_capped_mis_memo_serves_every_cap():
     """Once every cap has been asked for on one cell set, asking again in
     the other order adds no memo entry and gives the same answers."""
@@ -529,12 +593,14 @@ def test_capped_mis_memo_serves_every_cap():
 
 def test_capped_mis_memo_size():
     """The memo's entry count is deterministic: a bench instance's family,
-    whose 888 footprints leave 1727 entries (2707 when no call is answered
-    per conflict component)."""
+    whose 888 footprints leave 1748 entries. Under cap 2 or more they are
+    the answers of the calls, of their clustered parts and of the conflict
+    components of those, and the searches' own entries (2707 when every
+    call is one search over its whole inside set)."""
     inst = normalize_instance(gen_misr(n=22, seed=5, span=16, max_side=9).instance)
     index = cell_index(inst, build_grid(inst, 9).grid)
     assert len(misr._candidate_family(index, 9)) == 888
-    assert len(index[3]) == 1727
+    assert len(index[3]) == 1748
 
 
 def _clusters(rng, n_clusters):
@@ -627,6 +693,62 @@ def test_capped_mis_isolated_rectangles_match_include_first_search(monkeypatch):
     assert isolated > 200, isolated
 
 
+def test_capped_mis_clustered_part_matches_include_first_search(monkeypatch):
+    """Seeded sets that mix isolated rectangles with overlapping clusters,
+    each with a family of random cell sets, at every cap from 0 to two
+    above the optimum: an answer from the family's ``_footprint_masks`` is
+    the referee's and the one a lone call (masks from the index) gives, and
+    the two calls leave equal memos. Past a memo miss on the call's own
+    key, the clustered part is read from the memo, computed per component,
+    or followed by a fallback search over the whole inside set, and all
+    three happen."""
+    calls = []
+    for name in ("component", "capped"):
+        real = getattr(misr, f"_{name}_best")
+        monkeypatch.setattr(
+            misr, f"_{name}_best", lambda avail, *rest, name=name, real=real: calls.append((name, avail)) or real(avail, *rest)
+        )
+    rng = random.Random(30)
+    paths = {"hit": 0, "miss": 0, "fallback": 0}
+    for _ in range(60):
+        coords = []
+        for j in range(rng.randrange(3, 7)):
+            if rng.random() < 0.4:
+                coords.append((8 * j, 0, 8 * j + 3, 2))
+            else:
+                part = gen_misr(n=rng.randrange(2, 6), seed=rng.randrange(10**6), span=6, max_side=4).instance
+                coords += [(r.x1 + 8 * j, r.y1, r.x2 + 8 * j, r.y2) for r in part.rects]
+        rng.shuffle(coords)
+        inst = _inst(*coords)
+        n = inst.n
+        grid = build_grid(inst, n + 1).grid
+        spans, _, conflict = _referee_index(inst, grid)
+        n_cells = grid.n_cols * grid.n_rows
+        family = [(1 << n_cells) - 1] + [rng.getrandbits(n_cells) | rng.getrandbits(n_cells) for _ in range(5)]
+        lone, bulk = cell_index(inst, grid), cell_index(inst, grid)
+        family_masks = misr._footprint_masks(bulk, family)
+        memo = bulk[3]
+        alpha = len(_capped_mis_referee(spans, conflict, family[0], n))
+        for cap in range(alpha + 3):
+            for cells, masks in zip(family, family_masks):
+                want = _capped_mis_referee(spans, conflict, cells, cap)
+                assert _rects(solve_cellset_subproblem(lone, cells, cap)) == want, (inst, cells, cap)
+                inside, clustered = masks & (1 << n) - 1, masks >> n
+                r = min(cap, inside.bit_count())
+                cl_r = min(r, clustered.bit_count())
+                fresh = r >= 2 and clustered and r << n | inside not in memo
+                cl_known = cl_r << n | clustered in memo
+                calls.clear()
+                assert _rects(solve_cellset_subproblem(bulk, cells, cap, None, masks)) == want, (inst, cells, cap)
+                if fresh:
+                    paths["hit" if cl_known else "miss"] += 1
+                    assert (calls[:1] == [("component", clustered)]) != cl_known, (inst, cells, cap)
+                    if inside != clustered and ("capped", inside) in calls:
+                        paths["fallback"] += 1
+        assert lone[3] == memo
+    assert min(paths.values()) > 200, paths
+
+
 def test_capped_mis_component_calls_keep_their_cap():
     """A chain of 40 overlapping rectangles and one apart from it, at caps
     2 and 3, with room for cap + 10 frames above the caller: the chain's
@@ -664,7 +786,7 @@ def test_candidate_family_matches_referee_family(monkeypatch):
         rows.append((inst, grid, cap, misr._candidate_family(cell_index(inst, grid), cap)))
     row_index = None
 
-    def referee(index, cells, cap, deadline=None):
+    def referee(index, cells, cap, deadline=None, masks=None):
         spans, _, conflict = row_index
         return sum(1 << i for i in _capped_mis_referee(spans, conflict, cells, cap))
 
@@ -733,7 +855,8 @@ def test_family_growth_reads_its_deadline_at_every_frame(monkeypatch):
 
 def test_footprint_loop_reads_its_deadline_at_every_footprint(monkeypatch):
     """A deadline that passes while the first footprint is being solved
-    stops the family at the second, naming the capped-MIS stage."""
+    stops the family at the second, naming the capped-MIS stage; one that
+    passes while the family's masks are built stops it before the first."""
     inst = normalize_instance(gen_misr(n=22, seed=5, span=16, max_side=9).instance)
     index = cell_index(inst, build_grid(inst, 9).grid)
     now = [0.0]
@@ -741,15 +864,27 @@ def test_footprint_loop_reads_its_deadline_at_every_footprint(monkeypatch):
     solved = []
     real = misr.solve_cellset_subproblem
 
-    def solve(index, cells, cap, deadline=None):
+    def solve(index, cells, cap, deadline=None, masks=None):
         solved.append(cells)
         now[0] = float("inf")  # growth is over: its frames read 0.0
-        return real(index, cells, cap)
+        return real(index, cells, cap, None, masks)
 
     monkeypatch.setattr(misr, "solve_cellset_subproblem", solve)
     with pytest.raises(BudgetExceededError, match="time budget exceeded in capped MIS"):
         misr._candidate_family(index, 9, 1.0)
     assert len(solved) == 1
+    solved.clear()
+    now[0] = 0.0
+    real_masks = misr._footprint_masks
+
+    def footprint_masks(index, footprints):
+        now[0] = float("inf")  # growth is over: its frames read 0.0
+        return real_masks(index, footprints)
+
+    monkeypatch.setattr(misr, "_footprint_masks", footprint_masks)
+    with pytest.raises(BudgetExceededError, match="time budget exceeded in capped MIS"):
+        misr._candidate_family(index, 9, 1.0)
+    assert solved == []
 
 
 def _cells(mask):
@@ -1138,6 +1273,24 @@ def test_set_packing_and_kernel_pinned_on_bench_corpus():
         for k in (opt, opt + 1):
             family = misr._candidate_family(cell_index(inst, build_grid(inst, k).grid), cap)
             assert misr._max_disjoint_collection(family, k) == packing, (seed, k)
+
+
+# sha256 of repr of the kernel indices in test_kernel_pinned_on_a_large_family,
+# as the per-call table OR and component search gave them.
+LARGE_KERNEL_DIGEST = "607f79870c986baff14406a6a0083d7d6cbe412960212cab485ed277f8ce7839"
+
+
+def test_kernel_pinned_on_a_large_family(monkeypatch):
+    """gen_misr(80, 1, 30) at k = 19 and c = 5 grows 31,558 candidates, 40
+    times a bench family's, and its kernel is the pinned one whether the
+    footprints' masks come from ``_footprint_masks`` or each solve builds
+    its own from the index."""
+    inst = normalize_instance(gen_misr(80, 1, 30).instance)
+    report = kernel_misr(inst, 19, Fraction(1, 2), 5)
+    assert (report.params["candidates"], report.size) == (31558, 43)
+    assert hashlib.sha256(repr(report.indices).encode()).hexdigest() == LARGE_KERNEL_DIGEST
+    monkeypatch.setattr(misr, "_footprint_masks", lambda index, footprints: [None] * len(footprints))
+    assert kernel_misr(inst, 19, Fraction(1, 2), 5) == report
 
 
 def test_kernel_grid_shortcut():
