@@ -354,7 +354,7 @@ def cell_mask(grid: Grid, cells: Iterable[tuple[int, int]]) -> int:
 
 def cell_index(
     inst: MisrInstance, grid: Grid
-) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], dict[int, int], tuple[list[int], ...]]:
+) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], dict[int, int]]:
     """The span/conflict index of the MISR core over one (inst, grid).
 
     Per rectangle: its cell-span mask (see ``cell_mask``), and two masks over
@@ -365,14 +365,13 @@ def cell_index(
     built per column as one run of row bits. The fourth entry starts as an
     empty dict: the capped-MIS memo of ``solve_cellset_subproblem``, whose
     entries depend on the conflict masks only, so they hold for every cell
-    set and cap that is asked of this index. The fifth is the ``_or_tables``
-    of the span masks transposed by one ``_bit_columns`` call, strided
-    slices of the masks' bytes (per cell up to the widest span, the mask of
-    the rectangles covering it), so that
-    ``_table_or`` gives the rectangles meeting any cell set in one lookup
-    per 8 cells. A rectangle's ``shares`` is that OR over its span, less its
-    own bit. ``pas_misr`` and ``kernel_misr`` build one per run and drop it
-    when they return.
+    set and cap that is asked of this index. A rectangle's ``shares`` is
+    the OR over its span's cells of the rectangles covering each, less its
+    own bit: the span masks are transposed by one ``_bit_columns`` call
+    (per cell up to the widest span, the mask of the rectangles covering
+    it) and made into ``_or_tables``, so that ``_table_or`` reads a span in
+    one lookup per 8 cells. ``pas_misr`` and ``kernel_misr`` build one
+    index per run and drop it when they return.
     """
     rows = grid.n_rows
     spans = []
@@ -382,7 +381,7 @@ def cell_index(
         spans.append(sum(run << col * rows for col in range(c_lo, c_hi + 1)))
     tables = _or_tables(_bit_columns(spans, max(spans, default=0).bit_length()))
     shares = [_table_or(tables, span) & ~(1 << i) for i, span in enumerate(spans)]
-    return tuple(spans), tuple(shares), conflict_masks(inst), {}, tuple(tables)
+    return tuple(spans), tuple(shares), conflict_masks(inst), {}
 
 
 def solve_cellset_subproblem(
@@ -402,12 +401,8 @@ def solve_cellset_subproblem(
     ``masks`` is ``inside | clustered << n`` for the n rectangles of the
     index: the inside rectangles, and those of them that overlap another
     inside one. ``_solved_footprints`` hands in the ones ``_footprint_masks``
-    builds for the whole family. A lone call leaves it ``None`` and the two
-    masks come from the index: inside is every rectangle less the
-    rectangles meeting a cell not in ``cells``, the ``_table_or`` of the
-    index's tables over ``~cells`` (it reads only the cells up to the widest
-    span, one lookup per 8 cells), and a member is clustered when its
-    conflict mask meets another inside rectangle.
+    builds for the whole family. A lone call leaves it ``None`` and builds
+    them the same way, as a family of one footprint.
 
     ``_capped_best(avail, r, key, conflict, memo, shift, deadline)``
     returns that subset of the rectangle mask ``avail`` under cap r >= 2,
@@ -444,16 +439,11 @@ def solve_cellset_subproblem(
     """
     if cap < 0:
         raise ValueError("cap must be non-negative")
-    spans, _, conflict, memo, tables = index
+    spans, _, conflict, memo = index
     shift = len(spans)
     if masks is None:
-        inside = ((1 << shift) - 1) & ~_table_or(tables, ~cells)
-        clustered = 0
-        for v in _members(inside):
-            if conflict[v] & inside & ~(1 << v):
-                clustered |= 1 << v
-    else:
-        inside, clustered = masks & ((1 << shift) - 1), masks >> shift
+        masks = _footprint_masks(index, [cells])[0]
+    inside, clustered = masks & ((1 << shift) - 1), masks >> shift
     r = min(cap, inside.bit_count())
     if r < 2:
         return inside & -inside if r else 0
@@ -673,7 +663,7 @@ def _footprint_masks(index: tuple, footprints: Sequence[int]) -> list[int]:
     position. Big-int work of O(P * n) for P footprints, and no Python step
     per footprint and rectangle pair.
     """
-    spans, _, conflict, _, _ = index
+    spans, _, conflict, _ = index
     width = max(max(footprints, default=0), max(spans, default=0)).bit_length()
     holders = _bit_columns(footprints, width)
     everywhere = (1 << len(footprints)) - 1
@@ -723,7 +713,7 @@ def _solved_footprints(
     MIS". Growth reads it at every frame and the solving loop before every
     footprint, the first time right after ``_footprint_masks``.
     """
-    spans, shares, conflict, _, _ = index
+    spans, shares, conflict, _ = index
     n = len(spans)
     limit = min(c, n)
     footprints: dict[int, None] = {}

@@ -449,11 +449,7 @@ def test_capped_mis_matches_include_first_search():
         grid = build_grid(inst, n + 1).grid  # n + 1 disjoint rectangles cannot exist
         spans, shares, conflict = _referee_index(inst, grid)
         index = cell_index(inst, grid)
-        on_cell = tuple(
-            sum(1 << i for i, span in enumerate(spans) if span >> j & 1)
-            for j in range(max(spans).bit_length())
-        )
-        assert index == (spans, shares, conflict, {}, tuple(misr._or_tables(on_cell))), seed
+        assert index == (spans, shares, conflict, {}), seed
         n_cells = grid.n_cols * grid.n_rows
         masks = [0, (1 << n_cells) - 1] + [
             rng.getrandbits(n_cells) | rng.getrandbits(n_cells) for _ in range(3)
@@ -473,8 +469,8 @@ def test_capped_mis_matches_include_first_search():
 
 
 def test_inside_mask_matches_span_scan(monkeypatch):
-    """The inside set read off the cell -> rectangles transpose is the one
-    the per-rectangle span scan gives, on every footprint of the 14
+    """The inside set a lone call builds, as a family of one footprint, is
+    the one the per-rectangle span scan gives, on every footprint of the 14
     bench-shaped families at their realized caps and on random cell masks,
     some with bits above the widest span, and on the empty instance. With
     every conflict mask cleared and the cap at n, capped MIS answers the
@@ -493,13 +489,13 @@ def test_inside_mask_matches_span_scan(monkeypatch):
         index = cell_index(inst, grid)
         footprints.clear()
         misr._candidate_family(index, cap)
-        spans, shares, _, _, tables = index
+        spans, shares, _, _ = index
         width = max(spans).bit_length()
-        assert len(tables) == -(-width // 8) and width <= grid.n_cols * grid.n_rows
+        assert width <= grid.n_cols * grid.n_rows
         masks = footprints + [rng.getrandbits(width) for _ in range(40)]
         masks += [rng.getrandbits(width + 9) | 1 << width + rng.randrange(9) for _ in range(40)]
         masks += [0, (1 << width) - 1, (1 << width + 5) - 1, 1 << width]
-        unblocked = (spans, shares, (0,) * inst.n, {}, tables)
+        unblocked = (spans, shares, (0,) * inst.n, {})
         for cells in masks:
             inside = tuple(i for i, span in enumerate(spans) if not span & ~cells)
             assert _rects(real(unblocked, cells, inst.n)) == inside, (seed, cells)
@@ -507,7 +503,7 @@ def test_inside_mask_matches_span_scan(monkeypatch):
     assert checked == 10273  # the footprints of the 14 families
     empty = MisrInstance(())
     index = cell_index(empty, build_grid(empty, 1).grid)
-    assert index == ((), (), (), {}, ())
+    assert index == ((), (), (), {})
     for cells in (0, 1, 0b1011):
         assert _rects(real(index, cells, 3)) == ()
 
@@ -697,11 +693,11 @@ def test_capped_mis_clustered_part_matches_include_first_search(monkeypatch):
     """Seeded sets that mix isolated rectangles with overlapping clusters,
     each with a family of random cell sets, at every cap from 0 to two
     above the optimum: an answer from the family's ``_footprint_masks`` is
-    the referee's and the one a lone call (masks from the index) gives, and
-    the two calls leave equal memos. Past a memo miss on the call's own
-    key, the clustered part is read from the memo, computed per component,
-    or followed by a fallback search over the whole inside set, and all
-    three happen."""
+    the referee's and the one a lone call (masks of a family of one)
+    gives, and the two calls leave equal memos. Past a memo miss on the
+    call's own key, the clustered part is read from the memo, computed per
+    component, or followed by a fallback search over the whole inside set,
+    and all three happen."""
     calls = []
     for name in ("component", "capped"):
         real = getattr(misr, f"_{name}_best")
@@ -944,7 +940,7 @@ def test_table_or_matches_bit_loop():
                         expect |= col
                 assert misr._table_or(tables, mask) == expect, (n_cols, n_bits, mask)
     empty = MisrInstance(())
-    assert cell_index(empty, build_grid(empty, 1).grid)[4] == ()
+    assert cell_index(empty, build_grid(empty, 1).grid)[1] == ()  # shares over no tables
 
 
 def test_cell_order_key_orders_as_cell_lists():
@@ -1276,21 +1272,17 @@ def test_set_packing_and_kernel_pinned_on_bench_corpus():
 
 
 # sha256 of repr of the kernel indices in test_kernel_pinned_on_a_large_family,
-# as the per-call table OR and component search gave them.
+# as the code before the family's masks were built in bulk gave them.
 LARGE_KERNEL_DIGEST = "607f79870c986baff14406a6a0083d7d6cbe412960212cab485ed277f8ce7839"
 
 
-def test_kernel_pinned_on_a_large_family(monkeypatch):
+def test_kernel_pinned_on_a_large_family():
     """gen_misr(80, 1, 30) at k = 19 and c = 5 grows 31,558 candidates, 40
-    times a bench family's, and its kernel is the pinned one whether the
-    footprints' masks come from ``_footprint_masks`` or each solve builds
-    its own from the index."""
+    times a bench family's, and its kernel is the pinned one."""
     inst = normalize_instance(gen_misr(80, 1, 30).instance)
     report = kernel_misr(inst, 19, Fraction(1, 2), 5)
     assert (report.params["candidates"], report.size) == (31558, 43)
     assert hashlib.sha256(repr(report.indices).encode()).hexdigest() == LARGE_KERNEL_DIGEST
-    monkeypatch.setattr(misr, "_footprint_masks", lambda index, footprints: [None] * len(footprints))
-    assert kernel_misr(inst, 19, Fraction(1, 2), 5) == report
 
 
 def test_kernel_grid_shortcut():
