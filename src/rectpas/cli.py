@@ -170,7 +170,9 @@ def _cmd_solve(args) -> int:
     if args.k < 1:  # as the PAS paths do; an exact solve would exit 0 on any k < 1
         raise ValueError(f"k must be positive, got {args.k}")
     inst_file = fileio.load_instance(args.instance)
-    prov = {"algorithm": args.algorithm, "k": args.k, "eps": str(args.eps), "assertions": []}
+    prov = {"algorithm": args.algorithm, "k": args.k, "assertions": []}
+    if args.algorithm.endswith("-pas"):  # the exact solvers never read eps
+        prov["eps"] = str(args.eps)
 
     if args.algorithm.startswith("misr"):
         if inst_file.kind != "misr":

@@ -277,6 +277,25 @@ def packing_feasible_exact(
     every placement, unchanged. On a square board the canonical y values
     are the x values.
 
+    On a probe of four or more items, the root check runs on fewer x,
+    after the meet-in-the-middle principle (Cote and Iori, INFORMS J.
+    Computing 30(4), 2018). Let T be one more than the first item's
+    largest mirror cut, (W - w) // 2 over its orientations. The first item
+    keeps its normal patterns up to its cut; every other item, in each
+    orientation, takes the normal patterns p < T and the right-aligned
+    positions W - w - p >= T (``_position_rows`` with ``meet``). The check
+    is exactly as complete as the one on normal patterns. Take any
+    feasible x-projection; push every interval that starts below T left,
+    and every other one right, until it is blocked. A left interval can
+    then be blocked only at 0 or at the end of another left interval (a
+    right one ends beyond T), and a right interval only at W or at the
+    start of another right interval, so by induction along these chains
+    every interval lands in its table; the first item starts below T, so
+    it only moves left and keeps its cut. An assignment found is moved onto
+    normal patterns (``_left_justified``) and is the root certificate. The
+    2D search and its node checks keep the normal patterns: their placed
+    items sit at any canonical x, where the argument fails.
+
     The deadline is ``budget``'s, started here, unless a caller that runs
     many probes under one deadline hands it in.
     """
@@ -378,9 +397,16 @@ def _packing_search(items, W, H, rotations, deadline):
     # With three items the area cut runs at position 1 alone, where the
     # table costs more than the nodes it cuts.
     stacks = _stack_table(per_item, H) if m > 3 else None
-    root = _x_projection_fits(per_item, xs_all, stacks, W, H, deadline)
+    # From four items on, the root check runs on the meet-in-the-middle
+    # positions; its assignment, left-justified, is a certificate on the
+    # normal patterns that the 2D search and its node checks keep.
+    rows = _position_rows(per_item, xs_all, W, H, meet=m > 3)
+    root = _x_projection_fits(rows, stacks, W, H, deadline)
     if root is None:
         return None
+    if m > 3:
+        rows = _position_rows(per_item, xs_all, W, H)
+        root = _left_justified(root, H)
     ys_all = xs_all if H == W else [_choice_sums(pairs, H) for pairs in others]
     out: list[tuple[int, int, int, bool, int, int]] = []
     checked: dict[tuple, Optional[tuple]] = {}
@@ -390,9 +416,8 @@ def _packing_search(items, W, H, rotations, deadline):
             raise _overrun("packing search")
         if t == m:
             return True
-        xs, ys = xs_all[t], ys_all[t]
-        for w, h, rot in per_item[t]:
-            x_cut = W - w if t else (W - w) // 2
+        ys = ys_all[t]
+        for w, h, _, xs, rot in rows[t]:
             y_cut = H - h if t else (H - h) // 2
             valid = (1 << bisect_right(ys, y_cut)) - 1
             # Bit i of a run is set when ys[i] < y2 and ys[i] + h > y1,
@@ -401,7 +426,7 @@ def _packing_search(items, W, H, rotations, deadline):
                 (x1, x2, (1 << bisect_left(ys, y2)) - (1 << bisect_right(ys, y1 - h)))
                 for _, x1, y1, _, x2, y2 in out
             ]
-            for x in xs[: bisect_right(xs, x_cut)]:
+            for x in xs:
                 free = valid
                 for x1, x2, run in runs:
                     if x < x2 and x1 < x + w:
@@ -413,7 +438,7 @@ def _packing_search(items, W, H, rotations, deadline):
                 key = (*cert[:t], (x, x + w, h))
                 if key not in checked:
                     checked[key] = cert if cert[t] == key[t] else _x_projection_fits(
-                        per_item, xs_all, stacks, W, H, deadline, key
+                        rows, stacks, W, H, deadline, key
                     )
                 sub = checked[key]
                 if sub is None:
@@ -431,6 +456,67 @@ def _packing_search(items, W, H, rotations, deadline):
     if rec(0, root):
         return tuple(Placement(*p[:4]) for p in sorted(out))
     return None
+
+
+def _position_rows(per_item, xs_all, W, H, meet=False):
+    """Per search position t, one row (w, h, H - h, xs, rot) per orientation
+    of item t that fits under H: xs are the sorted x the search tries.
+
+    The first item takes its normal patterns ``xs_all[0]`` up to the mirror
+    cut (W - w) // 2. Every other item takes its normal patterns p <= W - w,
+    or, with ``meet``, the normal patterns p < T and the right-aligned
+    positions W - w - p >= T, where T is one more than the first item's
+    largest cut (meet in the middle; Cote and Iori 2018). These are fewer on
+    a wide board, and as complete for an x-projection with nothing placed;
+    see :func:`packing_feasible_exact`.
+    """
+    if meet:
+        split = (W - min(w for w, _, _ in per_item[0])) // 2 + 1
+    rows = []
+    for t, (opts, xs) in enumerate(zip(per_item, xs_all)):
+        row = []
+        for w, h, rot in opts:
+            if h > H:
+                continue
+            if not t:
+                pos = xs[: bisect_right(xs, (W - w) // 2)]
+            elif not meet:
+                pos = xs[: bisect_right(xs, W - w)]
+            else:
+                r = W - w
+                pos = xs[: bisect_left(xs, split if split <= r else r + 1)]
+                pos += map(r.__sub__, reversed(xs[: bisect_right(xs, r - split)]))
+            row.append((w, h, H - h, pos, rot))
+        rows.append(tuple(row))
+    return rows
+
+
+def _left_justified(intervals, H):
+    """The x-projection ``intervals`` with every interval moved left onto a
+    normal pattern.
+
+    In ascending x, each interval moves to the smallest of 0 and the ends
+    of the intervals moved before it where it fits under them: where their
+    heights leave room for its own. Such a place is never right of where it
+    was, and every x right of where it was meets only intervals that met
+    that x before, so the assignment stays within H. Each place is 0 or the
+    end of a chain of other intervals, so it is a normal pattern.
+    """
+    out = list(intervals)
+    moved = []
+    for i in sorted(range(len(out)), key=out.__getitem__):
+        x1, x2, h = out[i]
+        w, room = x2 - x1, H - h
+        c = 0
+        if x1:  # at 0 it stays: 0 is the first place tried
+            for c in sorted({0, *[b for _, b, _ in moved if b <= x1]}):
+                # Over [c, c + w) the load peaks at c or where an interval starts.
+                peaks = [c, *[a for a, _, _ in moved if c < a < c + w]]
+                if all(sum(g for a, b, g in moved if a <= p < b) <= room for p in peaks):
+                    break
+        out[i] = (c, c + w, h)
+        moved.append(out[i])
+    return tuple(out)
 
 
 def _add_interval(profile, x1, x2, h):
@@ -472,16 +558,17 @@ def _stack_table(per_item, H):
     return table
 
 
-def _x_projection_fits(per_item, xs_all, stacks, W, H, deadline, placed=()):
+def _x_projection_fits(rows, stacks, W, H, deadline, placed=()):
     """An x-projection that completes ``placed``, or ``None``.
 
     ``placed`` holds the intervals (x, x + w, h) in [0, W) of the first
-    items in search order. Each further item t gets an orientation and an
-    x from ``xs_all[t]`` under the search's cut, such that at every x the
-    heights of the intervals [x, x + w) covering it sum to at most H. The
-    intervals placed so far cut [0, W) into steps of constant load, the
-    profile (see ``_add_interval``); it is built once from ``placed`` and
-    each child gets its parent's with its own interval added. A step whose
+    items in search order. Each further item t gets a row of ``rows[t]``
+    (an orientation, see ``_position_rows``) and an x from that row, such
+    that at every x the heights of the intervals [x, x + w) covering it sum
+    to at most H. The intervals placed so far cut [0, W) into steps of
+    constant load, the profile (see ``_add_interval``); it is built once
+    from ``placed`` and each child gets its parent's with its own interval
+    added. A step whose
     load leaves less than h forbids the x values in (a - w, b), a
     contiguous run of the sorted xs, so the free x values are one bitset as
     in the 2D search. The answer lists the intervals of all items, in
@@ -505,7 +592,7 @@ def _x_projection_fits(per_item, xs_all, stacks, W, H, deadline, placed=()):
     tabulating the table's largest entry for that one test costs more
     time than the nodes it cuts.
     """
-    m = len(per_item)
+    m = len(rows)
     placed = list(placed)
     root = [(0, W, 0)]
     for x1, x2, h in placed:
@@ -525,13 +612,8 @@ def _x_projection_fits(per_item, xs_all, stacks, W, H, deadline, placed=()):
                 area += (b - a) * fill[bisect_right(fill, H - load) - 1]
             if area < need:
                 return False
-        xs = xs_all[t]
-        for w, h, _ in per_item[t]:
-            room = H - h
-            if room < 0:
-                continue
-            x_cut = W - w if t else (W - w) // 2
-            free = (1 << bisect_right(xs, x_cut)) - 1
+        for w, h, room, xs, _ in rows[t]:
+            free = (1 << len(xs)) - 1
             for a, b, load in profile:
                 if load > room:
                     free &= ~((1 << bisect_left(xs, b)) - (1 << bisect_right(xs, a - w)))

@@ -197,6 +197,18 @@ def test_cli_gen_solve_verify_misr(tmp_path):
     assert sol.provenance["algorithm"] == "misr-exact"
 
 
+def test_cli_records_eps_only_for_the_pas(tmp_path):
+    # The exact solvers never read eps, so their provenance has none.
+    i, g, s = tmp_path / "i.json", tmp_path / "g.json", tmp_path / "s.json"
+    assert cli_dispatch(["gen", "misr", "--n", "9", "--seed", "4", "--planted", "3", "--out", str(i)]) == 0
+    fileio.save(fileio.InstanceFile("gknap", GknapInstance(10, (Item(3, 2), Item(4, 4)))), g)
+    for algorithm, path in [("misr-exact", i), ("2dkr-exact", g), ("misr-pas", i), ("2dkr-pas", g)]:
+        rc = cli_dispatch(["solve", algorithm, str(path), "--k", "2", "--eps", "0.9", "--out", str(s)])
+        assert rc in (0, 2), algorithm
+        prov = fileio.load_solution(s).provenance
+        assert prov.get("eps") == (None if algorithm.endswith("-exact") else "9/10"), algorithm
+
+
 def test_cli_misr_pas_roundtrip(tmp_path):
     i = tmp_path / "i.json"
     s = tmp_path / "s.json"

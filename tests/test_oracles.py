@@ -2,6 +2,7 @@ import random
 import sys
 import time
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
 from types import SimpleNamespace
@@ -491,7 +492,7 @@ def test_choice_sums_take_one_side_per_item():
 )
 def test_x_projection_cases(per_item, xs_all, W, H, fits):
     stacks = oracles._stack_table(per_item, H)
-    got = oracles._x_projection_fits(per_item, xs_all, stacks, W, H, None)
+    got = oracles._x_projection_fits(oracles._position_rows(per_item, xs_all, W, H), stacks, W, H, None)
     assert (got is not None) is fits
     if fits:
         # The assignment gives every item an interval of one of its widths.
@@ -501,9 +502,12 @@ def test_x_projection_cases(per_item, xs_all, W, H, fits):
 
 
 def test_x_projection_ticks_the_probe_clock():
+    # On either kind of position table.
     passed = time.monotonic() - 1
-    with pytest.raises(BudgetExceededError, match="time budget exceeded in x-projection"):
-        oracles._x_projection_fits([((1, 1, False),)], [[0]], [None], 2, 2, passed)
+    for meet in (False, True):
+        rows = oracles._position_rows([((1, 1, False),)], [[0]], 2, 2, meet)
+        with pytest.raises(BudgetExceededError, match="time budget exceeded in x-projection"):
+            oracles._x_projection_fits(rows, [None], 2, 2, passed)
 
 
 def _x_projection_rebuilt(per_item, xs_all, stacks, W, H, deadline, placed=()):
@@ -597,8 +601,9 @@ def test_x_projection_matches_the_rebuilt_steps(monkeypatch):
             if starts[-2] < starts[-1]:
                 seen.add("rightmost")
         stacks = oracles._stack_table(per_item, H)
+        rows = oracles._position_rows(per_item, xs_all, W, H)
         reads.clear()
-        got = oracles._x_projection_fits(per_item, xs_all, stacks, W, H, 3600.0, tuple(placed))
+        got = oracles._x_projection_fits(rows, stacks, W, H, 3600.0, tuple(placed))
         mine = len(reads)
         assert got == _x_projection_rebuilt(per_item, xs_all, stacks, W, H, 3600.0, tuple(placed)), trial
         assert mine == len(reads) - mine, trial
@@ -666,11 +671,12 @@ def test_area_cut_keeps_the_answer_with_no_more_ticks(monkeypatch):
             x = rng.choice(xs_all[t][: bisect_right(xs_all[t], W - w)])
             placed.append((x, x + w, h))
         stacks = oracles._stack_table(per_item, H)
+        rows = oracles._position_rows(per_item, xs_all, W, H)
         reads.clear()
-        got = oracles._x_projection_fits(per_item, xs_all, stacks, W, H, 3600.0, tuple(placed))
+        got = oracles._x_projection_fits(rows, stacks, W, H, 3600.0, tuple(placed))
         cut = len(reads)
         no_cut = [(0, [0])] * len(items)
-        assert got == oracles._x_projection_fits(per_item, xs_all, no_cut, W, H, 3600.0, tuple(placed)), trial
+        assert got == oracles._x_projection_fits(rows, no_cut, W, H, 3600.0, tuple(placed)), trial
         plain = len(reads) - cut
         assert cut <= plain, trial
         fewer += cut < plain
@@ -684,8 +690,9 @@ def test_x_projection_of_an_overloaded_prefix_is_none():
     per_item = [((3, 3, False),), ((3, 3, False),), ((1, 1, False),)]
     xs_all = [[0, 1, 3, 4]] * 3
     stacks = oracles._stack_table(per_item, 5)
-    assert oracles._x_projection_fits(per_item, xs_all, stacks, 6, 5, None, ((0, 3, 3),)) is not None
-    assert oracles._x_projection_fits(per_item, xs_all, stacks, 6, 5, None, ((0, 3, 3), (1, 4, 3))) is None
+    rows = oracles._position_rows(per_item, xs_all, 6, 5)
+    assert oracles._x_projection_fits(rows, stacks, 6, 5, None, ((0, 3, 3),)) is not None
+    assert oracles._x_projection_fits(rows, stacks, 6, 5, None, ((0, 3, 3), (1, 4, 3))) is None
 
 
 def test_add_interval_splits_and_adds():
@@ -717,13 +724,19 @@ def _no_dff_bound(*args):
     return None
 
 
-def _no_projection(per_item, *args):
+def _no_projection(rows, *args):
     """Stand-in for the projection check that cuts nothing.
 
     Its certificate entries are ``None``, which no placement matches, so
     every 2D node calls it again and is let through.
     """
-    return [None] * len(per_item)
+    return [None] * len(rows)
+
+
+def _patch_out_projection(monkeypatch):
+    """Run the packing search with no projection check at the root or the nodes."""
+    monkeypatch.setattr(oracles, "_x_projection_fits", _no_projection)
+    monkeypatch.setattr(oracles, "_left_justified", lambda intervals, H: intervals)
 
 
 @pytest.mark.parametrize("rotations", [False, True])
@@ -731,27 +744,30 @@ def test_x_projection_never_rejects_a_packable_probe(rotations, monkeypatch):
     # The projection may only cut probes the 2D search cannot pack, so the
     # answers with it and without it are the same placements. The DFF bound
     # is patched out, so that every probe reaches the projection's root.
+    # Probes of four or more items get the meet-in-the-middle check at the
+    # root instead; the verdicts record which check gave them.
     monkeypatch.setattr(oracles, "_dff_rejection", _no_dff_bound)
     rng = random.Random(41 + rotations)
     probes = [_random_probe(rng, W) for W in [6, 8] * 60 + [24] * 80]
     verdicts = []
     check = oracles._x_projection_fits
 
-    def recording(per_item, xs_all, stacks, W, H, deadline, placed=()):
-        got = check(per_item, xs_all, stacks, W, H, deadline, placed)
+    def recording(rows, stacks, W, H, deadline, placed=()):
+        got = check(rows, stacks, W, H, deadline, placed)
         if not placed:
-            verdicts.append(got is not None)
+            verdicts.append((len(rows) > 3, got is not None))
         return got
 
     monkeypatch.setattr(oracles, "_x_projection_fits", recording)
     with_check = [packing_feasible_exact(items, W, H, rotations) for items, W, H in probes]
-    monkeypatch.setattr(oracles, "_x_projection_fits", _no_projection)
+    _patch_out_projection(monkeypatch)
     for (items, W, H), mine in zip(probes, with_check):
         assert mine == packing_feasible_exact(items, W, H, rotations), (items, W, H)
         if W <= 8 and H == W:
             assert (mine is None) == (packing_feasible_scan(items, W, H, rotations) is None)
     assert len(verdicts) == len(probes)
-    assert any(mine is not None for mine in with_check) and verdicts.count(False) > 0
+    assert any(mine is not None for mine in with_check)
+    assert {(meet, v) for meet in (False, True) for v in (False, True)} <= set(verdicts)
 
 
 @pytest.mark.parametrize("rotations", [False, True])
@@ -765,15 +781,15 @@ def test_node_projection_keeps_the_first_packing(rotations, monkeypatch):
     node_cuts = 0
     check = oracles._x_projection_fits
 
-    def counting(per_item, xs_all, stacks, W, H, deadline, placed=()):
+    def counting(rows, stacks, W, H, deadline, placed=()):
         nonlocal node_cuts
-        got = check(per_item, xs_all, stacks, W, H, deadline, placed)
+        got = check(rows, stacks, W, H, deadline, placed)
         node_cuts += bool(placed) and got is None
         return got
 
     monkeypatch.setattr(oracles, "_x_projection_fits", counting)
     mine = [packing_feasible_exact(items, W, H, rotations) for items, W, H in probes]
-    monkeypatch.setattr(oracles, "_x_projection_fits", _no_projection)
+    _patch_out_projection(monkeypatch)
     assert mine == [packing_feasible_exact(items, W, H, rotations) for items, W, H in probes]
     assert node_cuts > 0 and any(p is not None for p in mine) and None in mine
 
@@ -787,9 +803,9 @@ def test_heavy_probe_is_cut_at_the_nodes(monkeypatch):
     checked = []
     check = oracles._x_projection_fits
 
-    def recording(per_item, xs_all, stacks, W, H, deadline, placed=()):
+    def recording(rows, stacks, W, H, deadline, placed=()):
         checked.append(tuple(placed))
-        return check(per_item, xs_all, stacks, W, H, deadline, placed)
+        return check(rows, stacks, W, H, deadline, placed)
 
     monkeypatch.setattr(oracles, "_x_projection_fits", recording)
     reads = counting_clock(monkeypatch, oracles)
@@ -844,3 +860,63 @@ def test_x_projection_rejects_before_the_2d_search(monkeypatch):
     calls.clear()
     assert packing_feasible_exact(items[:3], 1000, 1001) is not None
     assert calls == [1000] * 3 + [1001] * 3
+
+
+def _root_check_probe(rng):
+    """An area-feasible probe of 4 to 7 items for the root checks.
+
+    Half the boards have W from 5 to 8 and up to 7 items, the others W from
+    9 to 1000 and up to 5 items; sides run from W // 5 to 3W // 4. H is W,
+    W less or more a Fraction, or 2W, and a quarter of the probes repeat an
+    item.
+    """
+    W = rng.choice([rng.randint(5, 8)] * 5 + [rng.randint(9, 30)] * 4 + [rng.randint(31, 1000)])
+    m = rng.randint(4, 7 if W <= 8 else 5)
+    H = rng.choice([W, W - Fraction(1, 3), W + Fraction(1, 2), 2 * W])
+    lo, hi = max(1, W // 5), max(1, 3 * W // 4)
+    while True:
+        items = [Item(rng.randint(lo, hi), rng.randint(lo, hi)) for _ in range(m)]
+        if rng.random() < 0.25:
+            items[-1] = items[0]
+        if sum(it.w * it.h for it in items) <= W * H:
+            return items, W, H, rng.random() < 0.5
+
+
+def test_meet_in_the_middle_root_check_is_complete(monkeypatch):
+    # The root check on meet-in-the-middle positions accepts exactly the
+    # probes that the root search on normal patterns accepts, and its
+    # assignment, left-justified, takes normal patterns under the search's
+    # cuts and stays within H. On boards of side at most 8 with an integer
+    # H, the probe's answer is the scan's. The DFF bound is patched out, so
+    # that every probe reaches the root check.
+    monkeypatch.setattr(oracles, "_dff_rejection", _no_dff_bound)
+    rng = random.Random(89)
+    seen = Counter()
+    for trial in range(20000):
+        items, W, H, rotations = _root_check_probe(rng)
+        order = sorted(range(len(items)), key=lambda i: (-items[i].w * items[i].h, i))
+        per_item = [oracles._orientations(items[i], rotations) for i in order]
+        xs_all = [
+            oracles._choice_sums([(items[j].w, items[j].h) for j in order if j != i], W) for i in order
+        ]
+        stacks = oracles._stack_table(per_item, H)
+        rows = oracles._position_rows(per_item, xs_all, W, H)
+        normal = oracles._x_projection_fits(rows, stacks, W, H, None)
+        meet_rows = oracles._position_rows(per_item, xs_all, W, H, meet=True)
+        meet = oracles._x_projection_fits(meet_rows, stacks, W, H, None)
+        assert (meet is None) == (normal is None), trial
+        if meet is not None:
+            cert = oracles._left_justified(meet, H)
+            for (x1, x2, h), row in zip(cert, rows):
+                assert any((w, hh) == (x2 - x1, h) and x1 in xs for w, hh, _, xs, _ in row), trial
+            assert all(sum(h for a, b, h in cert if a <= x < b) <= H for x, _, _ in cert), trial
+            seen["moved"] += cert != meet
+        if W <= 8 and H in (W, 2 * W) and trial % 32 == 0:
+            mine = packing_feasible_exact(items, W, H, rotations)
+            assert (mine is None) == (packing_feasible_scan(items, W, H, rotations) is None), trial
+            seen["scanned"] += 1
+        seen["none" if meet is None else "fits"] += 1
+        seen[len(items)] += 1
+    assert seen["none"] > 2000 and seen["fits"] > 2000 and seen["scanned"] > 120
+    assert seen["moved"] > 500
+    assert all(seen[m] > 1000 for m in range(4, 8))
