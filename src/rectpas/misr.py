@@ -420,7 +420,8 @@ def solve_cellset_subproblem(
     avail, which changes no answer.
 
     Under r >= 2 the answer is read from the memo under
-    ``r << n | inside`` when it is there. On a miss, the isolated
+    ``r << n | inside`` when it is there; the clustered part is split off
+    ``masks`` only after that lookup misses. On a miss, the isolated
     rectangles, ``inside ^ clustered``, overlap no other inside one: each
     is its own conflict component and its own answer. The clustered part
     is answered under cap min(r, |clustered|), read from the memo under
@@ -443,14 +444,17 @@ def solve_cellset_subproblem(
     shift = len(spans)
     if masks is None:
         masks = _footprint_masks(index, [cells])[0]
-    inside, clustered = masks & ((1 << shift) - 1), masks >> shift
-    r = min(cap, inside.bit_count())
+    inside = masks & ((1 << shift) - 1)
+    r = inside.bit_count()
+    if cap < r:
+        r = cap
     if r < 2:
         return inside & -inside if r else 0
     key = r << shift | inside
     found = memo.get(key)
     if found is not None:
         return found
+    clustered = masks >> shift
     got = 0
     if clustered:
         size = clustered.bit_count()
@@ -559,13 +563,15 @@ def _capped_best(
     return out
 
 
-class _Candidate(NamedTuple):
-    cells: int  # cell mask, see cell_mask
-    solution: int  # rectangle mask, see solve_cellset_subproblem
+class _Family(NamedTuple):
+    """The candidate family as three parallel lists, position p holding one
+    candidate: its cell mask (see ``cell_mask``), its solution, a rectangle
+    mask (see ``solve_cellset_subproblem``), and its value, the solution's
+    popcount."""
 
-    @property
-    def value(self) -> int:
-        return self.solution.bit_count()
+    cells: list[int]
+    solutions: list[int]
+    values: list[int]
 
 
 def _members(mask: int) -> tuple[int, ...]:
@@ -734,6 +740,9 @@ def _solved_footprints(
 
     for root in range(n):
         grow(1, spans[root], shares[root], (2 << root) - 1 | conflict[root])
+    # grow holds itself through its closure; the cycle would keep footprints
+    # alive until the cyclic collector ran
+    del grow
 
     order = list(footprints)
     solved = {}
@@ -746,36 +755,41 @@ def _solved_footprints(
     return solved
 
 
-def _candidate_family(index: tuple, c: int, deadline: Optional[float] = None) -> list[_Candidate]:
-    """The ``_solved_footprints`` as candidates, in set-packing order.
+def _candidate_family(index: tuple, c: int, deadline: Optional[float] = None) -> _Family:
+    """The ``_solved_footprints`` as a ``_Family``, in set-packing order.
 
     The family is sorted by -value, then by ascending cell list: per value
     (the popcount of the solution mask), from the largest down, one bucket
     of footprints sorted with the key function ``_cell_order_key``, whose
     all-string keys take the sort's string fast path. A cell's bit index
     orders cells as (col, row) does, and footprints are distinct, so no two
-    keys tie. ``deadline`` is passed to ``_solved_footprints``.
+    keys tie. Each bucket is appended to the cell list whole, with its value
+    repeated as often, and the solutions are read off in the same order: no
+    object is built per candidate. ``deadline`` is passed to
+    ``_solved_footprints``.
     """
     solved = _solved_footprints(index, c, deadline)
     buckets: dict[int, list[int]] = {}
     for cells, sol in solved.items():
         buckets.setdefault(sol.bit_count(), []).append(cells)
-    family = []
+    cells, values = [], []
     for value in sorted(buckets, reverse=True):
         bucket = buckets[value]
         bucket.sort(key=_cell_order_key)
-        family += [_Candidate(cells, solved[cells]) for cells in bucket]
-    return family
+        cells += bucket
+        values += [value] * len(bucket)
+    return _Family(cells, list(map(solved.__getitem__, cells)), values)
 
 
 def _max_disjoint_collection(
-    cands: Sequence[_Candidate], k: int, deadline: Optional[float] = None
+    family: _Family, k: int, deadline: Optional[float] = None
 ) -> tuple[int, tuple[int, ...], int]:
     """Exact weighted set packing over cell-disjoint candidates.
 
-    Branch and bound over the candidate list, which must be sorted by
-    non-increasing value as ``_candidate_family`` returns it; at most k
-    sets may be chosen. The candidates still disjoint from the chosen ones
+    Branch and bound over the ``family``'s positions, whose values must be
+    a list sorted in non-increasing order, as ``_candidate_family`` returns
+    it; at most k sets may be chosen. The search reads the three lists
+    directly. The candidates still disjoint from the chosen ones
     are one int over positions (bit p for candidate p), and the search
     visits only its lowest bit. An include clears the positions whose cells
     meet the candidate's: the OR of per-cell masks over positions (one
@@ -803,20 +817,20 @@ def _max_disjoint_collection(
     a C call that takes no Python frame: the search runs close to the
     recursion limit, and a Python call per frame would lower the depth it
     can reach. An overrun raises ``BudgetExceededError`` naming the "set
-    packing" stage.
+    packing" stage. However the search ends, ``rec`` is dropped, so the
+    call leaves no reference cycle behind for the cyclic collector.
     """
-    values = [cd.value for cd in cands]
-    if any(a < b for a, b in zip(values, values[1:])):
+    masks, sols, values = family
+    if sorted(values, reverse=True) != values:
         raise ValueError("candidates must be sorted by non-increasing value")
-    k = min(k, len(cands))  # more picks than candidates change nothing
+    n = len(values)
+    k = min(k, n)  # more picks than candidates change nothing
     prefix = list(accumulate(values, initial=0))
     prefix += [prefix[-1]] * k  # the bound may look past the last candidate
-    masks = [cd.cells for cd in cands]
-    sols = [cd.solution for cd in cands]
     # per 8 cells, any cell subset -> positions of the candidates covering it
     cell_tables = _or_tables(_bit_columns(masks, max(masks, default=0).bit_length()))
     n_bytes = len(cell_tables)
-    hits = [0] * len(cands)  # position -> positions meeting its cells; 0 until built
+    hits = [0] * n  # position -> positions meeting its cells; 0 until built
     best_total = best_sol = nodes = 0
 
     def rec(free: int, picks: int, total: int, sol: int) -> None:
@@ -843,7 +857,10 @@ def _max_disjoint_collection(
         rec(free & ~hits[pos], picks + 1, inc_total, inc_sol)
         rec(free ^ low, picks, total, sol)
 
-    rec((1 << len(cands)) - 1, 0, 0, 0)
+    try:  # adds no frame to the recursion
+        rec((1 << n) - 1, 0, 0, 0)
+    finally:
+        del rec  # rec holds itself through its closure, and with it the tables
     return best_total, _members(best_sol), nodes
 
 
@@ -913,15 +930,15 @@ def pas_misr(
     if index is None:
         meta["branch"] = "grid-witness"
         return PasMisrResult(outcome.witness, k, meta)
-    cands = _candidate_family(index, cap_c, deadline)
+    family = _candidate_family(index, cap_c, deadline)
     try:  # a try block adds no frame to the set packing's recursion
-        best_total, best_sol, nodes = _max_disjoint_collection(cands, k, deadline)
+        best_total, best_sol, nodes = _max_disjoint_collection(family, k, deadline)
     except RecursionError:
         raise RecursionError(
-            f"set packing over {len(cands)} candidates exceeds the recursion limit"
+            f"set packing over {len(family.cells)} candidates exceeds the recursion limit"
         ) from None
     meta["branch"] = "set-packing"
-    meta["candidates"] = len(cands)
+    meta["candidates"] = len(family.cells)
     meta["set_packing_nodes"] = nodes
     if best_total >= k:
         assert validate_misr_solution(inst, best_sol)

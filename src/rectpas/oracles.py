@@ -337,20 +337,29 @@ def _dff_rejection(items: Sequence[Item], W: int, H, rotations: bool) -> Optiona
       to no more than it did there (or than itself), so the sum cannot
       exceed the sum already found within the bound (or the area).
 
-    All arithmetic is exact, for a ``Fraction`` H too.
+    All arithmetic is exact, for a ``Fraction`` H too. Without a rotation
+    to weigh (``rotations`` false, or a square board), each sum is one loop
+    over the items with ``_u_k`` and ``_u_eps`` written out inline; the
+    rotation path calls them per side.
     """
     dims = [(it.w, it.h) for it in items]
     if sum(w * h for w, h in dims) > W * H:
         return "area"
     turn = rotations and W != H
 
-    def total(f, arg):
-        if turn:
-            return sum(min(f(w, W, arg) * f(h, H, arg), f(h, W, arg) * f(w, H, arg)) for w, h in dims)
-        return sum(f(w, W, arg) * f(h, H, arg) for w, h in dims)
+    def turned(f, arg):
+        return sum(min(f(w, W, arg) * f(h, H, arg), f(h, W, arg) * f(w, H, arg)) for w, h in dims)
 
     for k in _DFF_KS:
-        if total(_u_k, k) > k * k * W * H:
+        if turn:
+            got = turned(_u_k, k)
+        else:  # _u_k of both sides, written out: no call per side
+            got = 0
+            for w, h in dims:
+                qw, rw = divmod((k + 1) * w, W)
+                qh, rh = divmod((k + 1) * h, H)
+                got += (qw * W if rw else k * w) * (qh * H if rh else k * h)
+        if got > k * k * W * H:
             return f"u{k}"
     sides = sorted({s for d in dims for s in d})
     inflated = 0
@@ -361,7 +370,12 @@ def _dff_rejection(items: Sequence[Item], W: int, H, rotations: bool) -> Optiona
         now = 2 * len(sides) - bisect_right(sides, W - e) - bisect_right(sides, H - e)
         if now > inflated:
             inflated = now
-            if total(_u_eps, e) > W * H:
+            if turn:
+                got = turned(_u_eps, e)
+            else:  # _u_eps of both sides, written out
+                wl, hl = W - e, H - e
+                got = sum((0 if w < e else W if w > wl else w) * (0 if h < e else H if h > hl else h) for w, h in dims)
+            if got > W * H:
                 return "eps"
     return None
 
@@ -379,21 +393,44 @@ def _u_eps(x, L, e):
     return 0 if x < e else L if x > L - e else x
 
 
-def _choice_sums(pairs: Sequence[tuple[int, int]], limit: int) -> list[int]:
-    """Sums realizable by picking one of each pair's values per subset."""
-    sums = {0}
-    for a, b in pairs:
-        sums |= {s + v for s in sums for v in (a, b) if s + v <= limit}
-    return sorted(sums)
+def _normal_patterns(pairs: Sequence[tuple[int, int]], limit) -> list[list[int]]:
+    """Per item i of ``pairs``, the sorted sums up to ``limit`` of one side
+    of each item in a subset of the others: its normal patterns.
+
+    One subset-sum pass over all the items keeps ``must[s]``, the AND of
+    the masks of items used (bit i for item i) over every way to reach the
+    sum s. Some way reaches s without item i iff bit i of ``must[s]`` is
+    clear. Sides are positive, so every partial sum of a way to s is at
+    most s, and ``must[s]`` does not depend on ``limit`` once s is within it.
+    """
+    must = {0: 0}
+    for i, (a, b) in enumerate(pairs):
+        bit = 1 << i
+        for s, used in list(must.items()):
+            used |= bit
+            for t in (s + a, s + b) if a != b else (s + a,):
+                if t <= limit:
+                    must[t] = must.get(t, -1) & used
+    sums = sorted(must.items())
+    return [[s for s, used in sums if not used >> i & 1] for i in range(len(pairs))]
 
 
 def _packing_search(items, W, H, rotations, deadline):
+    """The x-projection root check and the 2D search of
+    :func:`packing_feasible_exact`, on a probe that passed the DFF bound.
+
+    Every item's canonical x values, its normal patterns up to W, come from
+    one ``_normal_patterns`` pass over the items in search order. The y
+    values are built only for a probe that passes the root check: on a
+    square board they are the x values, on another board a second pass
+    gives them, up to H.
+    """
     m = len(items)
     # Large items first prunes earliest; determinism via the index tie-break.
     order = sorted(range(m), key=lambda i: (-items[i].w * items[i].h, i))
     per_item = [_orientations(items[i], rotations) for i in order]
-    others = [[(items[j].w, items[j].h) for j in order if j != i] for i in order]
-    xs_all = [_choice_sums(pairs, W) for pairs in others]
+    pairs = [(items[i].w, items[i].h) for i in order]
+    xs_all = _normal_patterns(pairs, W)
     # With three items the area cut runs at position 1 alone, where the
     # table costs more than the nodes it cuts.
     stacks = _stack_table(per_item, H) if m > 3 else None
@@ -407,7 +444,7 @@ def _packing_search(items, W, H, rotations, deadline):
     if m > 3:
         rows = _position_rows(per_item, xs_all, W, H)
         root = _left_justified(root, H)
-    ys_all = xs_all if H == W else [_choice_sums(pairs, H) for pairs in others]
+    ys_all = xs_all if H == W else _normal_patterns(pairs, H)
     out: list[tuple[int, int, int, bool, int, int]] = []
     checked: dict[tuple, Optional[tuple]] = {}
 

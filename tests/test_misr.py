@@ -595,7 +595,7 @@ def test_capped_mis_memo_size():
     call is one search over its whole inside set)."""
     inst = normalize_instance(gen_misr(n=22, seed=5, span=16, max_side=9).instance)
     index = cell_index(inst, build_grid(inst, 9).grid)
-    assert len(misr._candidate_family(index, 9)) == 888
+    assert len(misr._candidate_family(index, 9).cells) == 888
     assert len(index[3]) == 1748
 
 
@@ -791,8 +791,31 @@ def test_candidate_family_matches_referee_family(monkeypatch):
         row_index = _referee_index(inst, grid)
         assert family == misr._candidate_family(cell_index(inst, grid), cap)
         bits = grid.n_cols * grid.n_rows
-        cells = {cd.cells: [i for i in range(bits) if cd.cells >> i & 1] for cd in family}
-        assert family == sorted(family, key=lambda cd: (-cd.value, cells[cd.cells], _rects(cd.solution)))
+        rows = [
+            (-value, [i for i in range(bits) if cells >> i & 1], _rects(sol))
+            for cells, sol, value in zip(*family)
+        ]
+        assert rows == sorted(rows)
+
+
+def test_candidate_family_is_three_parallel_lists():
+    """The family's cell masks, solutions and values are lists of one
+    length that pair each solved footprint with its solution and value,
+    the solution's popcount. Set packing refuses values that are not in
+    non-increasing order, and packs an empty family in one frame."""
+    inst = normalize_instance(gen_misr(n=22, seed=5, span=16, max_side=9).instance)
+    index = cell_index(inst, build_grid(inst, 9).grid)
+    family = misr._candidate_family(index, 9)
+    assert all(type(part) is list for part in family)
+    assert len(family.cells) == len(family.solutions) == len(family.values) == 888
+    assert family.values == [sol.bit_count() for sol in family.solutions]
+    assert dict(zip(family.cells, family.solutions)) == misr._solved_footprints(index, 9)
+    for values in (family.values[::-1], [1, 2], [2, 1, 2]):
+        n = len(values)
+        unsorted = misr._Family(family.cells[:n], family.solutions[:n], values)
+        with pytest.raises(ValueError, match="non-increasing"):
+            misr._max_disjoint_collection(unsorted, 9)
+    assert misr._max_disjoint_collection(misr._Family([], [], []), 3) == (0, (), 1)
 
 
 # sha256 of repr of the 14 lists of _solved_footprints items, in
@@ -838,7 +861,7 @@ def test_family_growth_reads_its_deadline_at_every_frame(monkeypatch):
         inst = _inst(*[(0, 0, 1, 1)] * n)
         index = cell_index(inst, build_grid(inst, 2).grid)
         family = misr._candidate_family(index, 1)
-        assert [_rects(cd.solution) for cd in family] == [(0,)]
+        assert [_rects(sol) for sol in family.solutions] == [(0,)]
         assert index[3] == {} and reads == []
         assert misr._candidate_family(index, 1, 1.0) == family
         assert len(reads) == n + 1
@@ -1040,6 +1063,30 @@ def test_capped_mis_leaves_no_cyclic_garbage():
             gc.enable()
 
 
+def test_pas_and_kernel_leave_no_cyclic_garbage():
+    """Family growth and set packing drop their recursive closures when
+    they end, so a PAS run, one whose set packing overflows the stack
+    included, and a kernel run leave nothing for the cyclic collector."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for seed, k in ((5, 9), (7, 9)):  # seed 7's set packing overflows
+            inst = normalize_instance(gen_misr(n=22, seed=seed, span=16, max_side=9).instance)
+            gc.collect()
+            try:
+                assert pas_misr(inst, k, Fraction(1, 2), c=7).best_total == k
+            except RecursionError:
+                assert seed == 7
+            else:
+                assert seed == 5
+            assert gc.collect() == 0, seed
+            kernel_misr(inst, k, Fraction(1, 2), c=7)
+            assert gc.collect() == 0, seed
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
 def test_theory_knob_mapping():
     assert theory_cap(0.5) == 256
     assert theory_cap(Fraction(1, 2)) == 256
@@ -1138,20 +1185,26 @@ def test_misr_core_golden(seed, opt, cap, pas, kernel):
     assert kernel_misr(inst, opt, Fraction(1, 2), c=cap).indices == kernel
 
 
-def _set_packing_referee(cands, k):
+def _family(pairs):
+    """A ``misr._Family`` of (cell mask, solution mask) pairs, in their order."""
+    return misr._Family([cells for cells, _ in pairs], [sol for _, sol in pairs], [sol.bit_count() for _, sol in pairs])
+
+
+def _set_packing_referee(family, k):
     """Best total over every pairwise cell-disjoint choice of at most k
     candidates, then the lexicographically smallest sorted union."""
+    cands = list(zip(*family))  # (cells, solution, value) per candidate
     best = (0, ())
     for size in range(1, min(k, len(cands)) + 1):
         for combo in combinations(cands, size):
             used = 0
-            for cd in combo:
-                if cd.cells & used:
+            for cells, _, _ in combo:
+                if cells & used:
                     break
-                used |= cd.cells
+                used |= cells
             else:
-                total = sum(cd.value for cd in combo)
-                union = tuple(sorted(i for cd in combo for i in _rects(cd.solution)))
+                total = sum(value for _, _, value in combo)
+                union = tuple(sorted(i for _, sol, _ in combo for i in _rects(sol)))
                 if total > best[0] or (total == best[0] and union < best[1]):
                     best = (total, union)
     return best
@@ -1163,18 +1216,19 @@ def test_set_packing_matches_bruteforce():
     rng = random.Random(0)
     for _ in range(300):
         n_cells = rng.randrange(3, 10)
-        cands = []
+        pairs = []
         for _ in range(rng.randrange(13)):
             cells = rng.randrange(1, 1 << n_cells)
             # three rectangles per cell, so cell-disjoint candidates have
             # disjoint solutions, as capped subproblem solutions do
             inside = [3 * cell + j for cell in range(n_cells) if cells >> cell & 1 for j in range(3)]
             sol = sum(1 << i for i in rng.sample(inside, rng.randrange(1, 4)))
-            cands.append(misr._Candidate(cells, sol))
-        cands.sort(key=lambda cd: -cd.value)  # ties keep their random order
+            pairs.append((cells, sol))
+        pairs.sort(key=lambda pair: -pair[1].bit_count())  # ties keep their random order
+        family = _family(pairs)
         k = rng.randrange(1, 6)
-        total, sol, _ = misr._max_disjoint_collection(cands, k)
-        assert (total, sol) == _set_packing_referee(cands, k), (cands, k)
+        total, sol, _ = misr._max_disjoint_collection(family, k)
+        assert (total, sol) == _set_packing_referee(family, k), (family, k)
 
 
 def test_set_packing_breaks_ties_by_sorted_union():
@@ -1182,14 +1236,14 @@ def test_set_packing_breaks_ties_by_sorted_union():
     first, and {Q1, Q2} with union {0, 9}, which each meet both P's. As
     sorted tuples (0, 9) < (1, 2), though as ints 0b1000000001 > 0b110, so
     the tie-break must read the lowest bit of the XOR of the unions."""
-    cands = [
-        misr._Candidate(0b0011, 1 << 1),  # P1, cells 0 and 1
-        misr._Candidate(0b0101, 1 << 0),  # Q1, cells 0 and 2
-        misr._Candidate(0b1010, 1 << 9),  # Q2, cells 1 and 3
-        misr._Candidate(0b1100, 1 << 2),  # P2, cells 2 and 3
-    ]
-    total, union, _ = misr._max_disjoint_collection(cands, 2)
-    assert (total, union) == _set_packing_referee(cands, 2) == (2, (0, 9))
+    family = _family([
+        (0b0011, 1 << 1),  # P1, cells 0 and 1
+        (0b0101, 1 << 0),  # Q1, cells 0 and 2
+        (0b1010, 1 << 9),  # Q2, cells 1 and 3
+        (0b1100, 1 << 2),  # P2, cells 2 and 3
+    ])
+    total, union, _ = misr._max_disjoint_collection(family, 2)
+    assert (total, union) == _set_packing_referee(family, 2) == (2, (0, 9))
 
 
 def test_set_packing_reads_its_deadline_at_every_frame(monkeypatch):
@@ -1198,14 +1252,14 @@ def test_set_packing_reads_its_deadline_at_every_frame(monkeypatch):
     its first frame."""
     reads = counting_clock(monkeypatch, misr)
     for n in (1, 128):
-        cands = [misr._Candidate(1 << i, 1 << i) for i in range(n)]
-        found = misr._max_disjoint_collection(cands, n)
+        family = _family([(1 << i, 1 << i) for i in range(n)])
+        found = misr._max_disjoint_collection(family, n)
         assert found == (n, tuple(range(n)), 2 * n + 1) and reads == []
-        assert misr._max_disjoint_collection(cands, n, 1.0) == found
+        assert misr._max_disjoint_collection(family, n, 1.0) == found
         assert len(reads) == 2 * n + 1
         reads.clear()
         with pytest.raises(BudgetExceededError, match="time budget exceeded in set packing"):
-            misr._max_disjoint_collection(cands, n, -1.0)
+            misr._max_disjoint_collection(family, n, -1.0)
         assert len(reads) == 1
         reads.clear()
 

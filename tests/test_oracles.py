@@ -300,13 +300,13 @@ def test_dff_bound_hand_cases(monkeypatch):
     items = [Item(412, 368), Item(431, 496), Item(342, 348), Item(540, 467), Item(354, 423)]
     assert oracles._dff_rejection(items, 1000, 1000, True) == "u2"
     calls = []
-    choice_sums = oracles._choice_sums
+    normal_patterns = oracles._normal_patterns
 
     def counting(*args):
         calls.append(args)
-        return choice_sums(*args)
+        return normal_patterns(*args)
 
-    monkeypatch.setattr(oracles, "_choice_sums", counting)
+    monkeypatch.setattr(oracles, "_normal_patterns", counting)
     assert packing_feasible_exact(items, 1000, 1000) is None
     assert calls == []
 
@@ -468,9 +468,85 @@ def test_mss_rejects_bad_input():
         mss_exact([3], -1, 2)
 
 
-def test_choice_sums_take_one_side_per_item():
-    assert oracles._choice_sums([(3, 5)], 100) == [0, 3, 5]
-    assert oracles._choice_sums([(3, 5), (4, 4)], 8) == [0, 3, 4, 5, 7]
+def _choice_sums(pairs, limit):
+    """Referee for one item's normal patterns: the sums up to ``limit`` of
+    one side of each item in a subset of ``pairs``, one set DP per item."""
+    sums = {0}
+    for a, b in pairs:
+        sums |= {s + v for s in sums for v in (a, b) if s + v <= limit}
+    return sorted(sums)
+
+
+def test_normal_patterns_take_one_side_per_item():
+    assert oracles._normal_patterns([], 100) == []
+    assert oracles._normal_patterns([(3, 5)], 100) == [[0]]
+    assert oracles._normal_patterns([(7, 7), (3, 5)], 100) == [[0, 3, 5], [0, 7]]
+    assert oracles._normal_patterns([(9, 9), (3, 5), (4, 4)], 8) == [[0, 3, 4, 5, 7], [0, 4], [0, 3, 5]]
+
+
+def test_normal_patterns_match_the_per_item_referee():
+    # One pass over all the items gives each item the list that a set DP
+    # over the other items gives: m = 0 to 8, repeated items, square items,
+    # sides over the limit, and int and Fraction limits.
+    rng = random.Random(97)
+    seen = Counter()
+    for trial in range(1800):
+        m = trial % 9
+        limit = rng.choice([rng.randint(1, 12), rng.randint(13, 60), rng.randint(61, 300)])
+        if rng.random() < 0.3:
+            limit = rng.choice([limit - Fraction(1, 3), limit + Fraction(1, 2)])
+            seen["Fraction"] += 1
+        pairs = []
+        for _ in range(m):
+            if pairs and rng.random() < 0.2:
+                pairs.append(rng.choice(pairs))
+                seen["repeat"] += 1
+                continue
+            a = rng.randint(1, int(limit) + 2)
+            b = a if rng.random() < 0.2 else rng.randint(1, int(limit) + 2)
+            seen["square"] += a == b
+            seen["over"] += max(a, b) > limit
+            pairs.append((a, b))
+        want = [_choice_sums(pairs[:i] + pairs[i + 1:], limit) for i in range(m)]
+        assert oracles._normal_patterns(pairs, limit) == want, (pairs, limit)
+    assert all(seen[key] > 100 for key in ("Fraction", "repeat", "square", "over")), seen
+
+
+def _dff_referee(items, W, H):
+    """The DFF family with no rotation to weigh: one ``_u_k`` or ``_u_eps``
+    call per side, and every threshold e with 2 * e <= min(W, H) checked."""
+    dims = [(it.w, it.h) for it in items]
+    if sum(w * h for w, h in dims) > W * H:
+        return "area"
+    for k in oracles._DFF_KS:
+        if sum(oracles._u_k(w, W, k) * oracles._u_k(h, H, k) for w, h in dims) > k * k * W * H:
+            return f"u{k}"
+    for e in sorted({s for d in dims for s in d}):
+        if 2 * e <= min(W, H) and sum(oracles._u_eps(w, W, e) * oracles._u_eps(h, H, e) for w, h in dims) > W * H:
+            return "eps"
+    return None
+
+
+def test_inline_dff_sums_match_the_per_side_functions():
+    # Without rotations, or on a square board, the u^(k) and u^(eps) sums
+    # are written out inline; they name the same first member as the sums
+    # of the functions themselves, on int and Fraction heights alike.
+    rng = random.Random(101)
+    labels = Counter()
+    for trial in range(4000):
+        W = rng.choice([rng.randint(2, 12), rng.randint(13, 100), rng.randint(10**5, 10**6)])
+        H = rng.choice([W, W, rng.randint(2, 2 * W), W - Fraction(1, 3), W + Fraction(1, 2)])
+        if rng.random() < 0.25:  # sides near W / 4, where u^(3) rejects
+            lo, hi, m = W // 4 or 1, max(1, W // 3), rng.randint(6, 12)
+        else:
+            lo, hi, m = max(1, W // 5), max(1, 3 * W // 4), rng.randint(1, 6)
+        items = [Item(rng.randint(lo, hi), rng.randint(lo, hi)) for _ in range(m)]
+        rotations = H == W and rng.random() < 0.5
+        label = oracles._dff_rejection(items, W, H, rotations)
+        assert label == _dff_referee(items, W, H), (items, W, H)
+        labels[label, type(H).__name__] += 1
+    for label in ("area", "u1", "u2", "u3", "eps", None):
+        assert labels[label, "int"] > 20 and labels[label, "Fraction"] > 20, labels
 
 
 @pytest.mark.parametrize(
@@ -585,7 +661,7 @@ def test_x_projection_matches_the_rebuilt_steps(monkeypatch):
         order = sorted(range(len(items)), key=lambda i: (-items[i].w * items[i].h, i))
         per_item = [oracles._orientations(items[i], rotations) for i in order]
         xs_all = [
-            oracles._choice_sums([(items[j].w, items[j].h) for j in order if j != i], W) for i in order
+            _choice_sums([(items[j].w, items[j].h) for j in order if j != i], W) for i in order
         ]
         placed = []
         for t in range(rng.randint(0, len(items) - 1)):
@@ -663,7 +739,7 @@ def test_area_cut_keeps_the_answer_with_no_more_ticks(monkeypatch):
         order = sorted(range(len(items)), key=lambda i: (-items[i].w * items[i].h, i))
         per_item = [oracles._orientations(items[i], rotations) for i in order]
         xs_all = [
-            oracles._choice_sums([(items[j].w, items[j].h) for j in order if j != i], W) for i in order
+            _choice_sums([(items[j].w, items[j].h) for j in order if j != i], W) for i in order
         ]
         placed = []
         for t in range(rng.randint(0, len(items) - 2)):
@@ -838,28 +914,32 @@ def test_search_that_follows_the_certificate_checks_once(monkeypatch):
 def test_x_projection_rejects_before_the_2d_search(monkeypatch):
     # Area fits (0.89 of the board) but no packing exists. The y
     # coordinates are built only for a probe the projection passes, so a
-    # probe rejected before the 2D search computes m coordinate lists, not
-    # 2m. On a square board the y lists are the x lists, so a probe that
-    # passes computes m lists too; on another board it computes 2m. The
-    # DFF bound, which rejects this probe first, is patched out.
+    # probe rejected before the 2D search runs one normal-pattern pass, for
+    # the x lists, on any board. On a square board the y lists are the x
+    # lists, so a probe that passes runs one pass too; on another board it
+    # runs a second, up to H. The DFF bound, which rejects this probe
+    # first, is patched out.
     monkeypatch.setattr(oracles, "_dff_rejection", _no_dff_bound)
     items = [Item(412, 368), Item(431, 496), Item(342, 348), Item(540, 467), Item(354, 423)]
     calls = []
-    choice_sums = oracles._choice_sums
+    normal_patterns = oracles._normal_patterns
 
     def counting(pairs, limit):
         calls.append(limit)
-        return choice_sums(pairs, limit)
+        return normal_patterns(pairs, limit)
 
-    monkeypatch.setattr(oracles, "_choice_sums", counting)
+    monkeypatch.setattr(oracles, "_normal_patterns", counting)
     assert packing_feasible_exact(items, 1000, 1000) is None
-    assert len(calls) == len(items)
+    assert calls == [1000]
+    calls.clear()
+    assert packing_feasible_exact(items, 1000, 1001) is None
+    assert calls == [1000]
     calls.clear()
     assert packing_feasible_exact(items[:3], 1000, 1000) is not None
-    assert calls == [1000] * 3
+    assert calls == [1000]
     calls.clear()
     assert packing_feasible_exact(items[:3], 1000, 1001) is not None
-    assert calls == [1000] * 3 + [1001] * 3
+    assert calls == [1000, 1001]
 
 
 def _root_check_probe(rng):
@@ -896,9 +976,7 @@ def test_meet_in_the_middle_root_check_is_complete(monkeypatch):
         items, W, H, rotations = _root_check_probe(rng)
         order = sorted(range(len(items)), key=lambda i: (-items[i].w * items[i].h, i))
         per_item = [oracles._orientations(items[i], rotations) for i in order]
-        xs_all = [
-            oracles._choice_sums([(items[j].w, items[j].h) for j in order if j != i], W) for i in order
-        ]
+        xs_all = oracles._normal_patterns([(items[i].w, items[i].h) for i in order], W)
         stacks = oracles._stack_table(per_item, H)
         rows = oracles._position_rows(per_item, xs_all, W, H)
         normal = oracles._x_projection_fits(rows, stacks, W, H, None)
