@@ -717,7 +717,9 @@ def _solved_footprints(
     ``deadline``, if given, bounds the whole family; an overrun raises
     ``BudgetExceededError`` naming the stage, "family growth" or "capped
     MIS". Growth reads it at every frame and the solving loop before every
-    footprint, the first time right after ``_footprint_masks``.
+    footprint, the first time right after ``_footprint_masks``. However
+    growth ends, ``grow`` is dropped, so the call leaves no reference cycle
+    behind for the cyclic collector.
     """
     spans, shares, conflict, _ = index
     n = len(spans)
@@ -738,11 +740,11 @@ def _solved_footprints(
             grow(size + 1, cells | spans[v], frontier | shares[v], shut | conflict[v])
             shut |= low
 
-    for root in range(n):
-        grow(1, spans[root], shares[root], (2 << root) - 1 | conflict[root])
-    # grow holds itself through its closure; the cycle would keep footprints
-    # alive until the cyclic collector ran
-    del grow
+    try:
+        for root in range(n):
+            grow(1, spans[root], shares[root], (2 << root) - 1 | conflict[root])
+    finally:
+        del grow  # grow holds itself through its closure, and with it footprints
 
     order = list(footprints)
     solved = {}

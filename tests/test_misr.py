@@ -1066,13 +1066,21 @@ def test_capped_mis_leaves_no_cyclic_garbage():
 def test_pas_and_kernel_leave_no_cyclic_garbage():
     """Family growth and set packing drop their recursive closures when
     they end, so a PAS run, one whose set packing overflows the stack
-    included, and a kernel run leave nothing for the cyclic collector."""
+    included, a kernel run and growth stopped by its deadline leave nothing
+    for the cyclic collector."""
     was_enabled = gc.isenabled()
     gc.disable()
     try:
         for seed, k in ((5, 9), (7, 9)):  # seed 7's set packing overflows
             inst = normalize_instance(gen_misr(n=22, seed=seed, span=16, max_side=9).instance)
             gc.collect()
+            try:  # no "as": a bound exception would hold this frame in a cycle
+                misr._solved_footprints(cell_index(inst, build_grid(inst, k).grid), 7, -1.0)
+            except BudgetExceededError:
+                pass
+            else:
+                raise AssertionError("growth ran past its deadline")
+            assert gc.collect() == 0, seed
             try:
                 assert pas_misr(inst, k, Fraction(1, 2), c=7).best_total == k
             except RecursionError:
