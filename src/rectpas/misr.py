@@ -365,13 +365,11 @@ def cell_index(
     built per column as one run of row bits. The fourth entry starts as an
     empty dict: the capped-MIS memo of ``solve_cellset_subproblem``, whose
     entries depend on the conflict masks only, so they hold for every cell
-    set and cap that is asked of this index. A rectangle's ``shares`` is
-    the OR over its span's cells of the rectangles covering each, less its
-    own bit: the span masks are transposed by one ``_bit_columns`` call
-    (per cell up to the widest span, the mask of the rectangles covering
-    it) and made into ``_or_tables``, so that ``_table_or`` reads a span in
-    one lookup per 8 cells. ``pas_misr`` and ``kernel_misr`` build one
-    index per run and drop it when they return.
+    set and cap that is asked of this index. The ``shares`` come from one
+    pairwise pass over the span masks, as ``conflict_masks`` builds the
+    conflict masks: rectangles i < j share a cell iff their spans meet,
+    and then each gets the other's bit. ``pas_misr`` and ``kernel_misr``
+    build one index per run and drop it when they return.
     """
     rows = grid.n_rows
     spans = []
@@ -379,8 +377,13 @@ def cell_index(
         c_lo, c_hi, r_lo, r_hi = _span_block(grid, rect)
         run = ((1 << (r_hi - r_lo + 1)) - 1) << r_lo
         spans.append(sum(run << col * rows for col in range(c_lo, c_hi + 1)))
-    tables = _or_tables(_bit_columns(spans, max(spans, default=0).bit_length()))
-    shares = [_table_or(tables, span) & ~(1 << i) for i, span in enumerate(spans)]
+    n = len(spans)
+    shares = [0] * n
+    for i, span in enumerate(spans):
+        for j in range(i + 1, n):
+            if span & spans[j]:
+                shares[i] |= 1 << j
+                shares[j] |= 1 << i
     return tuple(spans), tuple(shares), conflict_masks(inst), {}
 
 
@@ -584,23 +587,6 @@ def _members(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-_COMPLEMENT = str.maketrans("01", "10")
-
-
-def _cell_order_key(mask: int) -> str:
-    """A key that orders nonzero cell masks as their ascending cell lists.
-
-    The key is the mask's binary digits from bit 0 up, complemented, so
-    character i is '0' iff cell i is in the mask. Take masks A != B and the
-    lowest bit l where they differ, and say A has it. As lists, A < B iff B
-    has a bit above l: then A's next cell is l and B's is larger, and
-    otherwise B's list is a prefix of A's. As keys, A holds '0' at l where
-    B holds '1' if B has a bit above l; otherwise B's key ends at or before
-    l and is a prefix of A's. Both orders put a prefix first.
-    """
-    return bin(mask)[:1:-1].translate(_COMPLEMENT)
-
-
 # entry j maps a byte to the ASCII digit of its bit j, for bytes.translate
 _BIT_DIGITS = tuple(bytes(48 + (b >> j & 1) for b in range(256)) for j in range(8))
 
@@ -637,19 +623,6 @@ def _or_tables(columns: Sequence[int]) -> list[list[int]]:
             table += [entry | col for entry in table]
         tables.append(table * (256 // len(table)))
     return tables
-
-
-def _table_or(tables: Sequence[Sequence[int]], mask: int) -> int:
-    """OR of the columns behind ``tables`` whose bits are set in ``mask``.
-
-    One lookup per byte of ``mask``; bits with no column are ignored, so a
-    complement ``~cells`` reads as the columns not in ``cells``.
-    """
-    acc = 0
-    n = len(tables)
-    for table, byte in zip(tables, (mask & ((1 << 8 * n) - 1)).to_bytes(n, "little")):
-        acc |= table[byte]
-    return acc
 
 
 def _footprint_masks(index: tuple, footprints: Sequence[int]) -> list[int]:
@@ -760,15 +733,14 @@ def _solved_footprints(
 def _candidate_family(index: tuple, c: int, deadline: Optional[float] = None) -> _Family:
     """The ``_solved_footprints`` as a ``_Family``, in set-packing order.
 
-    The family is sorted by -value, then by ascending cell list: per value
-    (the popcount of the solution mask), from the largest down, one bucket
-    of footprints sorted with the key function ``_cell_order_key``, whose
-    all-string keys take the sort's string fast path. A cell's bit index
-    orders cells as (col, row) does, and footprints are distinct, so no two
-    keys tie. Each bucket is appended to the cell list whole, with its value
-    repeated as often, and the solutions are read off in the same order: no
-    object is built per candidate. ``deadline`` is passed to
-    ``_solved_footprints``.
+    The family is ordered by value, the popcount of the solution mask, from
+    the largest down, and within a value in ``_solved_footprints``'
+    discovery order: one bucket per value, filled as the footprints come.
+    Set packing needs the values non-increasing; its answer does not depend
+    on the order within a value (see ``_max_disjoint_collection``). Each
+    bucket is appended to the cell list whole, with its value repeated as
+    often, and the solutions are read off in the same order: no object is
+    built per candidate. ``deadline`` is passed to ``_solved_footprints``.
     """
     solved = _solved_footprints(index, c, deadline)
     buckets: dict[int, list[int]] = {}
@@ -777,7 +749,6 @@ def _candidate_family(index: tuple, c: int, deadline: Optional[float] = None) ->
     cells, values = [], []
     for value in sorted(buckets, reverse=True):
         bucket = buckets[value]
-        bucket.sort(key=_cell_order_key)
         cells += bucket
         values += [value] * len(bucket)
     return _Family(cells, list(map(solved.__getitem__, cells)), values)
@@ -797,9 +768,9 @@ def _max_disjoint_collection(
     meet the candidate's: the OR of per-cell masks over positions (one
     ``_bit_columns`` transpose of the cell masks, a strided byte slice per
     cell, made into ``_or_tables``),
-    built on the position's first include by a loop of one table lookup per
-    byte of its cell mask, written out in ``rec`` so that it adds no Python
-    frame to the recursion. A skip clears the position itself. The
+    built on the position's first include by one table lookup per byte of
+    its cell mask, written out in ``rec`` so that no helper call adds a
+    Python frame to the recursion. A skip clears the position itself. The
     bound on what the remaining picks can add is the sum of the next
     k - picks values, read from prefix sums; that window sum never grows
     with the position, so a blocked position jumped over would prune no
@@ -814,6 +785,18 @@ def _max_disjoint_collection(
     a skip child carries its parent's pair, which was compared already, and
     the best only improves, so it can never win there. The search takes one
     recursive frame per free candidate on the skip chain.
+
+    The answer does not depend on the order of candidates of equal value.
+    Every collection of at most k disjoint candidates is reached by
+    including its members and skipping the others, and the bound at each
+    node on that path is at least the collection's total, whatever the
+    order within a value, since the window sum takes the largest values
+    left. A branch is cut only when its bound is strictly below the best
+    total, so every collection whose total reaches the best is compared,
+    and a tie of totals keeps the smaller sorted union. A complete search
+    thus returns the largest total and, among collections of that total,
+    the smallest union. Reordering within a value moves only the frame
+    count and the order of the visits.
 
     ``deadline``, if given, is read at every frame by ``time.monotonic()``,
     a C call that takes no Python frame: the search runs close to the
@@ -852,7 +835,7 @@ def _max_disjoint_collection(
             if inc_total > best_total or diff & -diff & inc_sol:
                 best_total, best_sol = inc_total, inc_sol
         if not hits[pos]:
-            hit = 0  # _table_or, written out: a call here would cost a frame of depth
+            hit = 0  # the tables' OR over the cell mask, inline: a call would cost a frame
             for table, byte in zip(cell_tables, masks[pos].to_bytes(n_bytes, "little")):
                 hit |= table[byte]
             hits[pos] = hit

@@ -423,7 +423,8 @@ def _packing_search(items, W, H, rotations, deadline):
     one ``_normal_patterns`` pass over the items in search order. The y
     values are built only for a probe that passes the root check: on a
     square board they are the x values, on another board a second pass
-    gives them, up to H.
+    gives them, up to H. However the search ends, ``rec`` is dropped, so
+    the call leaves no reference cycle behind for the cyclic collector.
     """
     m = len(items)
     # Large items first prunes earliest; determinism via the index tie-break.
@@ -490,9 +491,12 @@ def _packing_search(items, W, H, rotations, deadline):
                     out.pop()
         return False
 
-    if rec(0, root):
-        return tuple(Placement(*p[:4]) for p in sorted(out))
-    return None
+    try:
+        if rec(0, root):
+            return tuple(Placement(*p[:4]) for p in sorted(out))
+        return None
+    finally:
+        del rec  # rec holds itself through its closure, and with it the probe's tables
 
 
 def _position_rows(per_item, xs_all, W, H, meet=False):
@@ -627,7 +631,8 @@ def _x_projection_fits(rows, stacks, W, H, deadline, placed=()):
     position 0, with nothing placed, where the cut compares W times the
     tallest stack of all items with their area; on the PAS's probes,
     tabulating the table's largest entry for that one test costs more
-    time than the nodes it cuts.
+    time than the nodes it cuts. However the search ends, ``rec`` is
+    dropped, as in ``_packing_search``.
     """
     m = len(rows)
     placed = list(placed)
@@ -664,7 +669,10 @@ def _x_projection_fits(rows, stacks, W, H, deadline, placed=()):
                 placed.pop()
         return False
 
-    return tuple(placed) if rec(len(placed), root) else None
+    try:
+        return tuple(placed) if rec(len(placed), root) else None
+    finally:
+        del rec  # rec holds itself through its closure, and with it the rows
 
 
 def packing_feasible_scan(
@@ -775,7 +783,9 @@ def _combinations_within(areas: Sequence[int], size: int, limit, deadline: Optio
     A prefix is dropped, with every combination that extends it, when its
     sum plus the least sum its remaining picks can add, the smallest areas
     after its last position, exceeds ``limit``. The deadline is read once
-    per prefix visited, the combinations themselves included.
+    per prefix visited, the combinations themselves included. However the
+    enumeration ends, a caller dropping it unfinished included, ``rec`` is
+    dropped, as in ``_packing_search``.
     """
     n = len(areas)
     # least[p][r]: the sum of the r smallest areas at positions p and later.
@@ -795,7 +805,10 @@ def _combinations_within(areas: Sequence[int], size: int, limit, deadline: Optio
                 yield from rec(p + 1, total + areas[p])
                 picks.pop()
 
-    yield from rec(0, 0)
+    try:
+        yield from rec(0, 0)
+    finally:
+        del rec  # rec holds itself through its closure, and with it the sums
 
 
 # ---------------------------------------------------------------------------

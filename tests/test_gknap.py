@@ -1,7 +1,10 @@
+import gc
 import hashlib
 import random
 from fractions import Fraction
+from itertools import count
 from math import ceil
+from types import SimpleNamespace
 
 import pytest
 
@@ -522,6 +525,45 @@ def test_pas_two_item_instance_asserts_for_k4():
     inst = GknapInstance(10, (Item(3, 2), Item(4, 4)))
     res = pas_2dkr(inst, 4, 0.5)
     assert res.opt_below_k and not res.positive
+
+
+def test_knapsack_and_pas_leave_no_cyclic_garbage(monkeypatch):
+    """The packing search, its x-projection check and the subset
+    enumeration drop their recursive closures when they end, so
+    knapsack_exact and pas_2dkr leave nothing for the cyclic collector:
+    on runs that finish, on a packable subset found with combinations left
+    unvisited, and on runs stopped by their deadline at each of their 3rd to
+    82nd clock reads, inside a probe or between two."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for seed in range(3):
+            inst = chunky_gknap(12, seed)
+            gc.collect()
+            assert knapsack_exact(inst.items, inst.N, inst.N, 6, True, GKNAP_BUDGET)[0]
+            assert gc.collect() == 0, seed
+            for k in (8, 10, 12):
+                pas_2dkr(inst, k, Fraction(1, 2))
+                assert gc.collect() == 0, (seed, k)
+        inst = chunky_gknap(12, 0)
+        stopped = 0
+        for limit in range(1, 81):  # the clock reads 0, 1, 2, ...: the run stops at read limit + 2
+            ticks = count()
+            monkeypatch.setattr(oracles, "time", SimpleNamespace(monotonic=ticks.__next__))
+            budget = OracleBudget(max_items=14, max_solution_size=7, time_limit=limit)
+            for run in (
+                lambda: knapsack_exact(inst.items, inst.N, inst.N, 6, True, budget),
+                lambda: pas_2dkr(inst, 10, Fraction(1, 2), budget=budget),
+            ):
+                try:  # no "as": a bound exception would hold this frame in a cycle
+                    run()
+                except BudgetExceededError:
+                    stopped += 1
+                assert gc.collect() == 0, limit
+        assert stopped == 160
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def test_theory_k_tilde():

@@ -4,7 +4,7 @@ import random
 import sys
 import weakref
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, groupby
 from math import ceil
 from pathlib import Path
 from types import SimpleNamespace
@@ -466,6 +466,8 @@ def test_capped_mis_matches_include_first_search():
     assert cell_index(STACK2, stack_grid)[0] == tuple(
         cell_mask(stack_grid, cells_spanned(stack_grid, r)) for r in STACK2.rects
     )
+    empty = MisrInstance(())
+    assert cell_index(empty, build_grid(empty, 1).grid) == ((), (), (), {})
 
 
 def test_inside_mask_matches_span_scan(monkeypatch):
@@ -771,8 +773,10 @@ def test_capped_mis_component_calls_keep_their_cap():
 
 def test_candidate_family_matches_referee_family(monkeypatch):
     """The 14 bench-shaped instances at their realized caps: the family is
-    the one the include-first search builds, tuple for tuple. The referee
-    reads the geometry of the row being built, not the index it is handed."""
+    the one the include-first search builds, tuple for tuple, with values
+    non-increasing and, within a value, the footprints in discovery order.
+    The referee reads the geometry of the row being built, not the index
+    it is handed."""
     rows = []
     for seed in range(14):
         inst = normalize_instance(gen_misr(n=22, seed=seed, span=16, max_side=9).instance)
@@ -790,12 +794,11 @@ def test_candidate_family_matches_referee_family(monkeypatch):
     for inst, grid, cap, family in rows:
         row_index = _referee_index(inst, grid)
         assert family == misr._candidate_family(cell_index(inst, grid), cap)
-        bits = grid.n_cols * grid.n_rows
-        rows = [
-            (-value, [i for i in range(bits) if cells >> i & 1], _rects(sol))
-            for cells, sol, value in zip(*family)
-        ]
-        assert rows == sorted(rows)
+        assert family.values == sorted(family.values, reverse=True)
+        solved = misr._solved_footprints(cell_index(inst, grid), cap)
+        # a stable sort keeps discovery order within a value
+        assert family.cells == sorted(solved, key=lambda cells: -solved[cells].bit_count())
+        assert family.solutions == [solved[cells] for cells in family.cells]
 
 
 def test_candidate_family_is_three_parallel_lists():
@@ -906,10 +909,6 @@ def test_footprint_loop_reads_its_deadline_at_every_footprint(monkeypatch):
     assert solved == []
 
 
-def _cells(mask):
-    return [i for i in range(mask.bit_length()) if mask >> i & 1]
-
-
 def test_bit_columns_match_bit_loop():
     rng = random.Random(3)
     for width in range(1, 201):
@@ -943,37 +942,14 @@ def _tables_referee(columns):
     return tuple(tables)
 
 
-def test_table_or_matches_bit_loop():
-    """The byte tables and their OR against the columns ORed bit by bit, at
-    column counts around a byte's 8, on masks with bits above the last
-    column and on complements, which read as the columns not in the mask."""
+def test_or_tables_match_bit_loop():
+    """The byte tables set packing reads its ``hits`` from, against the
+    columns ORed bit by bit, at column counts around a byte's 8."""
     rng = random.Random(5)
     for n_cols in (0, 1, 7, 8, 9, 37):
         for n_bits in (1, 22, 130):
             columns = [rng.getrandbits(n_bits) for _ in range(n_cols)]
-            tables = misr._or_tables(columns)
-            assert tuple(tables) == _tables_referee(columns), (n_cols, n_bits)
-            masks = [0, (1 << n_cols) - 1, 1 << n_cols, (1 << n_cols + 11) - 1]
-            masks += [rng.getrandbits(n_cols + 20) for _ in range(30)]
-            masks += [rng.getrandbits(n_cols) | 1 << n_cols + rng.randrange(20) for _ in range(30)]
-            for mask in masks + [~mask for mask in masks]:
-                expect = 0
-                for j, col in enumerate(columns):
-                    if mask >> j & 1:
-                        expect |= col
-                assert misr._table_or(tables, mask) == expect, (n_cols, n_bits, mask)
-    empty = MisrInstance(())
-    assert cell_index(empty, build_grid(empty, 1).grid)[1] == ()  # shares over no tables
-
-
-def test_cell_order_key_orders_as_cell_lists():
-    rng = random.Random(4)
-    masks = [rng.getrandbits(rng.randint(1, 90)) or 1 for _ in range(400)]
-    # a prefix first, and the lowest differing cell decides
-    masks += [0b1, 0b11, 0b101, 0b10, 0b100001, 1 << 70, 3 << 70, 1 << 70 | 1]
-    for a, b in [(0b1, 0b11), (0b101, 0b10), (0b100001, 0b10), (1 << 70, 3 << 70)]:
-        assert misr._cell_order_key(a) < misr._cell_order_key(b)
-    assert sorted(masks, key=misr._cell_order_key) == sorted(masks, key=_cells)
+            assert tuple(misr._or_tables(columns)) == _tables_referee(columns), (n_cols, n_bits)
 
 
 # ---------------------------------------------------------------------------
@@ -1274,11 +1250,11 @@ def test_set_packing_reads_its_deadline_at_every_frame(monkeypatch):
 
 def test_set_packing_node_count():
     """The set-packing frame count is deterministic: one bench instance,
-    where a frame per blocked candidate as well would make 419751."""
+    with its family in value order, then discovery order."""
     inst = normalize_instance(gen_misr(n=22, seed=5, span=16, max_side=9).instance)
     res = pas_misr(inst, 9, Fraction(1, 2), c=9)  # 9 = OPT = the realized cap
     assert (res.best_total, res.metadata["candidates"]) == (9, 888)
-    assert res.metadata["set_packing_nodes"] == 5359
+    assert res.metadata["set_packing_nodes"] == 7959
 
 
 # The 14 bench instances (gen_misr(n=22, seed, span=16, max_side=9)) with
@@ -1286,33 +1262,33 @@ def test_set_packing_node_count():
 # at k = OPT, which k = OPT + 1 repeats, and the kernel at k = OPT. None
 # marks the two instances whose set packing overflows the stack.
 SET_PACKING_PINS = [
-    (0, 8, 8, (8, (0, 2, 3, 4, 5, 7, 14, 18), 3761),
+    (0, 8, 8, (8, (0, 2, 3, 4, 5, 7, 14, 18), 3983),
      (0, 1, 2, 3, 4, 5, 6, 7, 8, 10, 11, 12, 13, 14, 15, 18, 19, 20)),
-    (1, 8, 8, (8, (0, 2, 4, 5, 6, 8, 9, 11), 4261),
+    (1, 8, 8, (8, (0, 2, 4, 5, 6, 8, 9, 11), 4399),
      (0, 2, 3, 4, 5, 6, 7, 8, 9, 11, 12, 13, 16, 21)),
-    (2, 9, 5, (9, (0, 1, 2, 4, 6, 9, 10, 14, 15), 1779),
+    (2, 9, 5, (9, (0, 1, 2, 4, 6, 9, 10, 14, 15), 1823),
      (0, 1, 2, 3, 4, 6, 7, 9, 10, 12, 13, 14, 15)),
-    (3, 7, 7, (7, (2, 5, 12, 13, 14, 19, 20), 1327),
+    (3, 7, 7, (7, (2, 5, 12, 13, 14, 19, 20), 1405),
      (0, 1, 2, 3, 5, 7, 8, 9, 12, 13, 14, 18, 19, 20, 21)),
-    (4, 9, 9, (9, (1, 3, 5, 6, 8, 9, 15, 19, 20), 3047),
+    (4, 9, 9, (9, (1, 3, 5, 6, 8, 9, 15, 19, 20), 3943),
      (1, 3, 4, 5, 6, 7, 8, 9, 11, 12, 15, 16, 19, 20)),
-    (5, 9, 9, (9, (2, 5, 6, 7, 8, 9, 14, 19, 21), 5359),
+    (5, 9, 9, (9, (2, 5, 6, 7, 8, 9, 14, 19, 21), 7959),
      (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 14, 15, 16, 18, 19, 20, 21)),
-    (6, 8, 7, (8, (0, 1, 3, 4, 5, 11, 15, 20), 4883),
+    (6, 8, 7, (8, (0, 1, 3, 4, 5, 11, 15, 20), 4767),
      (0, 1, 2, 3, 4, 5, 6, 7, 8, 11, 12, 13, 14, 15, 20)),
     (7, 9, 7, None,
      (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 15, 16, 19)),
-    (8, 9, 9, (9, (1, 3, 5, 6, 8, 10, 12, 13, 17), 4999),
+    (8, 9, 9, (9, (1, 3, 5, 6, 8, 10, 12, 13, 17), 6041),
      (0, 1, 2, 3, 4, 5, 6, 7, 8, 10, 12, 13, 15, 17)),
-    (9, 10, 9, (10, (1, 2, 3, 7, 8, 11, 12, 13, 17, 21), 4959),
+    (9, 10, 9, (10, (1, 2, 3, 7, 8, 11, 12, 13, 17, 21), 6247),
      (0, 1, 2, 3, 5, 7, 8, 11, 12, 13, 16, 17, 21)),
-    (10, 8, 6, (8, (1, 2, 4, 5, 16, 17, 18, 19), 2803),
+    (10, 8, 6, (8, (1, 2, 4, 5, 16, 17, 18, 19), 1923),
      (0, 1, 2, 3, 4, 5, 6, 8, 9, 10, 12, 14, 15, 16, 17, 18, 19)),
     (11, 11, 11, None,
      (1, 2, 3, 4, 5, 6, 7, 9, 11, 13, 14, 15, 16, 17, 18, 20)),
-    (12, 7, 5, (7, (4, 5, 7, 8, 9, 11, 15), 1657),
+    (12, 7, 5, (7, (4, 5, 7, 8, 9, 11, 15), 2283),
      (0, 1, 2, 3, 4, 5, 7, 8, 9, 10, 11, 12, 15, 16, 19)),
-    (13, 8, 7, (8, (0, 1, 4, 6, 7, 12, 18, 19), 3515),
+    (13, 8, 7, (8, (0, 1, 4, 6, 7, 12, 18, 19), 5029),
      (0, 1, 2, 3, 4, 5, 6, 7, 10, 12, 14, 18, 19, 20, 21)),
 ]
 
@@ -1331,6 +1307,52 @@ def test_set_packing_and_kernel_pinned_on_bench_corpus():
         for k in (opt, opt + 1):
             family = misr._candidate_family(cell_index(inst, build_grid(inst, k).grid), cap)
             assert misr._max_disjoint_collection(family, k) == packing, (seed, k)
+
+
+def _shuffled_within_values(family, rng):
+    """The family with its positions shuffled inside each run of one value."""
+    order = []
+    for _, run in groupby(range(len(family.values)), family.values.__getitem__):
+        run = list(run)
+        rng.shuffle(run)
+        order += run
+    return misr._Family([family.cells[p] for p in order], [family.solutions[p] for p in order], family.values)
+
+
+def test_set_packing_answer_does_not_depend_on_order_within_a_value():
+    """Shuffling the candidates inside each value leaves set packing's
+    (total, union) as it is, under four seeds: on the 12 bench families
+    that complete, at k = OPT and OPT + 1, against their pinned answers,
+    and on gen_misr(32, seed, 24) families at c = 2, 3 and k = 3 (where
+    the pick limit binds and totals tie often) and k = OPT. The search
+    prunes only below the best total and breaks ties by the union, so only
+    its frame count may move."""
+    cases = []
+    for seed, opt, cap, packing, _ in SET_PACKING_PINS:
+        if packing is None:
+            continue
+        inst = normalize_instance(gen_misr(n=22, seed=seed, span=16, max_side=9).instance)
+        for k in (opt, opt + 1):
+            family = misr._candidate_family(cell_index(inst, build_grid(inst, k).grid), cap)
+            cases.append((family, k, packing[:2]))
+    for seed in range(4):
+        inst = normalize_instance(gen_misr(32, seed, 24).instance)
+        opt = len(mis_rectangles_exact(inst, MISR_BUDGET))
+        for c in (2, 3):
+            family = misr._candidate_family(cell_index(inst, build_grid(inst, opt).grid), c)
+            for k in (3, opt):
+                cases.append((family, k, misr._max_disjoint_collection(family, k)[:2]))
+    assert len(cases) == 40
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + 1000)  # a shuffle may deepen the skip chain
+    try:
+        for shuffle_seed in range(4):
+            rng = random.Random(shuffle_seed)
+            for family, k, answer in cases:
+                shuffled = _shuffled_within_values(family, rng)
+                assert misr._max_disjoint_collection(shuffled, k)[:2] == answer, (shuffle_seed, k)
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 # sha256 of repr of the kernel indices in test_kernel_pinned_on_a_large_family,
